@@ -77,6 +77,7 @@ Result<AppRunResult> runBatchedGemm(gpusim::Device& device,
   const uint64_t elements = static_cast<uint64_t>(m) * m;
 
   dsl::LaunchSpec spec;
+  spec.policy() = options.policy();
   spec.numTeams = options.numTeams;
   spec.threadsPerTeam = options.threadsPerTeam;
   spec.teamsMode = omprt::ExecMode::kSPMD;

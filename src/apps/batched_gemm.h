@@ -31,7 +31,9 @@ BatchedGemmWorkload generateBatchedGemm(uint32_t batch, uint32_t m,
 
 std::vector<double> batchedGemmReference(const BatchedGemmWorkload& w);
 
-struct BatchedGemmOptions {
+/// The launch shape plus the execution policy every launch of the app
+/// runs under (support/policy.h).
+struct BatchedGemmOptions : policy::ExecPolicy {
   uint32_t numTeams = 32;
   uint32_t threadsPerTeam = 128;
   /// 1 = two-level baseline (serial M*M loop per thread).

@@ -59,6 +59,7 @@ Result<AppRunResult> runIdeal(gpusim::Device& device, const IdealWorkload& w,
   const uint32_t flops = options.flopsPerElement;
 
   dsl::LaunchSpec spec;
+  spec.policy() = options.policy();
   spec.numTeams = options.numTeams;
   spec.threadsPerTeam = options.threadsPerTeam;
   spec.teamsMode = omprt::ExecMode::kSPMD;

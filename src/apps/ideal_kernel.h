@@ -32,7 +32,9 @@ IdealWorkload generateIdeal(uint32_t outerTrip, uint32_t innerTrip,
 std::vector<double> idealReference(const IdealWorkload& w,
                                    uint32_t flopsPerElement = 8);
 
-struct IdealOptions {
+/// The launch shape plus the execution policy every launch of the app
+/// runs under (support/policy.h).
+struct IdealOptions : policy::ExecPolicy {
   uint32_t numTeams = 108;
   uint32_t threadsPerTeam = 128;
   /// 1 = baseline (serial inner loop on each OpenMP thread).

@@ -34,7 +34,9 @@ Laplace3dWorkload generateLaplace3d(uint32_t nx, uint32_t ny, uint32_t nz,
 /// One Jacobi sweep on the host (interior points only).
 std::vector<double> laplace3dReference(const Laplace3dWorkload& w);
 
-struct Laplace3dOptions {
+/// The launch shape plus the execution policy every launch of the app
+/// runs under (support/policy.h).
+struct Laplace3dOptions : policy::ExecPolicy {
   SimdMode mode = SimdMode::kNoSimd;
   uint32_t numTeams = 32;
   uint32_t threadsPerTeam = 128;

@@ -33,7 +33,9 @@ MuramWorkload generateMuram(uint32_t nx, uint32_t ny, uint32_t nz,
 std::vector<double> muramTransposeReference(const MuramWorkload& w);
 std::vector<double> muramInterpolReference(const MuramWorkload& w);
 
-struct MuramOptions {
+/// The launch shape plus the execution policy every launch of the app
+/// runs under (support/policy.h).
+struct MuramOptions : policy::ExecPolicy {
   SimdMode mode = SimdMode::kNoSimd;
   uint32_t numTeams = 32;
   uint32_t threadsPerTeam = 128;

@@ -30,7 +30,9 @@ enum class SpmvVariant : uint8_t {
   kThreeLevelReduction,
 };
 
-struct SpmvOptions {
+/// The launch shape plus the execution policy every launch of the app
+/// runs under (support/policy.h).
+struct SpmvOptions : policy::ExecPolicy {
   SpmvVariant variant = SpmvVariant::kThreeLevelAtomic;
   uint32_t numTeams = 64;
   /// Worker threads per team (the paper's baseline uses 32; the
@@ -41,9 +43,6 @@ struct SpmvOptions {
   /// Parallel-region mode for the 3-level variants (the paper runs the
   /// sparse_matvec parallel region in generic mode).
   omprt::ExecMode parallelMode = omprt::ExecMode::kGeneric;
-  /// Host worker threads simulating independent teams (0 = auto,
-  /// 1 = serial); modeled cycles are identical for any value.
-  uint32_t hostWorkers = 0;
 };
 
 /// Run y = A*x on the device and verify against the host reference.

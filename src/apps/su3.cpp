@@ -101,6 +101,7 @@ Result<AppRunResult> runSu3(gpusim::Device& device, const Su3Workload& w,
 
   // Both teams and parallel regions run in SPMD mode (paper 6.3).
   dsl::LaunchSpec spec;
+  spec.policy() = options.policy();
   spec.numTeams = options.numTeams;
   spec.threadsPerTeam = options.threadsPerTeam;
   spec.teamsMode = omprt::ExecMode::kSPMD;

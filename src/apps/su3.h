@@ -37,7 +37,9 @@ Su3Workload generateSu3(uint32_t numSites, uint64_t seed);
 /// Host reference C = A*B per site/direction.
 std::vector<double> su3Reference(const Su3Workload& w);
 
-struct Su3Options {
+/// The launch shape plus the execution policy every launch of the app
+/// runs under (support/policy.h).
+struct Su3Options : policy::ExecPolicy {
   uint32_t numTeams = 32;
   uint32_t threadsPerTeam = 128;
   /// SIMD group size; 1 = the serial-inner-loop baseline.

@@ -38,7 +38,9 @@ namespace simtomp::dsl {
 using omprt::ExecMode;
 using omprt::OmpContext;
 
-struct LaunchSpec {
+/// A launch's shape plus its execution policy (support/policy.h), which
+/// targetConfig() passes on by value.
+struct LaunchSpec : policy::ExecPolicy {
   /// 0 = auto (tuner entry, else one team per SM).
   uint32_t numTeams = 1;
   /// 0 = auto (tuner entry, else 128 clipped to the architecture).
@@ -59,32 +61,15 @@ struct LaunchSpec {
   /// Whether outlined regions enter the dispatch if-cascade (paper
   /// section 5.5); off models regions from foreign translation units.
   bool registerInCascade = true;
-  /// Host worker threads simulating independent teams (0 = auto,
-  /// 1 = serial); see omprt::TargetConfig::hostWorkers.
-  uint32_t hostWorkers = 0;
-  /// Correctness checking (simcheck); see gpusim::LaunchConfig::check.
-  simcheck::CheckConfig check{};
   /// Stable kernel identity for the simtune cache ("" = not tunable).
   std::string tuneKey;
   /// Trip-count hint for the tuning-cache bucket; the distribute
   /// helpers below fill it with their trip count when left 0.
   uint64_t tripCount = 0;
-  /// Fault-injection plan (simfault); "" consults SIMTOMP_FAULT,
-  /// "off" pins injection off. See omprt::TargetConfig::fault.
-  std::string faultSpec;
-  /// Per-block watchdog step budget (0 = auto, simfault::kWatchdogOff
-  /// disables); see gpusim::LaunchConfig::watchdogSteps.
-  uint64_t watchdogSteps = 0;
-  /// Hierarchical profiling (simprof); kAuto consults SIMTOMP_PROF.
-  simprof::ProfileConfig profile{};
-  /// Convergence fast path (batched lane execution for hazard-free SIMD
-  /// bodies); see omprt::TargetConfig::fastPath. kAuto consults
-  /// SIMTOMP_FAST (default on). Modeled results are bit-identical
-  /// either way — this trades only host wall-time.
-  omprt::FastPathMode fastPath = omprt::FastPathMode::kAuto;
 
   [[nodiscard]] omprt::TargetConfig targetConfig() const {
     omprt::TargetConfig config;
+    config.policy() = policy();
     config.teamsMode = teamsMode;
     config.teamsModeAuto = teamsModeAuto;
     config.numTeams = numTeams;
@@ -94,14 +79,8 @@ struct LaunchSpec {
     config.parallelModeAuto = parallelModeAuto;
     config.scheduleChunk = scheduleChunk;
     config.sharingSpaceBytes = sharingSpaceBytes;
-    config.hostWorkers = hostWorkers;
-    config.check = check;
     config.tuneKey = tuneKey;
     config.tripCount = tripCount;
-    config.fault.spec = faultSpec;
-    config.watchdogSteps = watchdogSteps;
-    config.profile = profile;
-    config.fastPath = fastPath;
     return config;
   }
   /// Region-level parallel configuration. Auto fields (simdlen 0,

@@ -2,8 +2,6 @@
 
 #include <cctype>
 
-#include "simfault/fault.h"
-
 namespace simtomp::front {
 
 namespace {
@@ -168,64 +166,44 @@ Status parseTune(Lexer& lex, DirectiveSpec& spec) {
   return expect(lex, Kind::kRParen, "')'");
 }
 
-Status parseFault(Lexer& lex, DirectiveSpec& spec) {
+/// The execution-policy field whose clause is `word`, or nullptr.
+const policy::Field* policyClause(std::string_view word) {
+  for (const policy::Field& field : policy::kFields) {
+    if (policy::fieldInfo(field).clause == word) return &field;
+  }
+  return nullptr;
+}
+
+/// A clause of the execution-policy table (fault, watchdog, profile):
+/// the raw token text up to the matching ')' goes through the table's
+/// strict parser, so the clause accepts exactly the spellings of its
+/// environment variable (and `auto`, which leaves the field unset).
+/// The fault plan grammar is simfault's; the table validates it with
+/// FaultPlan::parse, so the two grammars cannot drift.
+Status parsePolicyClause(Lexer& lex, policy::Field field,
+                         DirectiveSpec& spec) {
   Status s = expect(lex, Kind::kLParen, "'('");
   if (!s.isOk()) return s;
-  // The plan grammar (kind:key=value;...) is simfault's, not ours:
-  // concatenate raw token text up to the matching ')' and let
-  // FaultPlan::parse validate it, so the two grammars cannot drift.
-  std::string plan;
+  const policy::FieldInfo& info = policy::fieldInfo(field);
+  std::string text;
   int depth = 1;
   for (;;) {
     if (lex.atEnd()) {
-      return Status::invalidArgument("fault(...) is missing ')'");
+      return Status::invalidArgument(std::string(info.clause) +
+                                     "(...) is missing ')'");
     }
     const Lexer::Token token = lex.take();
     if (token.kind == Kind::kLParen) ++depth;
     if (token.kind == Kind::kRParen && --depth == 0) break;
-    plan += token.text;
+    text += token.text;
   }
-  if (plan.empty()) {
-    return Status::invalidArgument("fault expects a plan (or 'off')");
+  if (text.empty()) {
+    return Status::invalidArgument(std::string(info.clause) +
+                                   " expects one of " + info.spellings +
+                                   "|auto");
   }
-  const Result<simfault::FaultPlan> parsed = simfault::FaultPlan::parse(plan);
-  if (!parsed.isOk()) return parsed.status();
-  spec.faultSpec = plan;
-  return Status::ok();
-}
-
-Status parseWatchdog(Lexer& lex, DirectiveSpec& spec) {
-  Status s = expect(lex, Kind::kLParen, "'('");
-  if (!s.isOk()) return s;
-  if (lex.peek().kind == Kind::kIdent && lex.peek().text == "off") {
-    lex.take();
-    spec.watchdogSteps = simfault::kWatchdogOff;
-  } else if (lex.peek().kind == Kind::kNumber) {
-    const uint64_t steps = lex.take().number;
-    spec.watchdogSteps = steps == 0 ? simfault::kWatchdogOff : steps;
-  } else {
-    return Status::invalidArgument("watchdog expects a step budget or 'off'");
-  }
-  return expect(lex, Kind::kRParen, "')'");
-}
-
-Status parseProfile(Lexer& lex, DirectiveSpec& spec) {
-  Status s = expect(lex, Kind::kLParen, "'('");
-  if (!s.isOk()) return s;
-  if (lex.peek().kind != Kind::kIdent) {
-    return Status::invalidArgument("profile expects on|off|auto");
-  }
-  const std::string word = lex.take().text;
-  if (word == "on") {
-    spec.profileMode = simprof::ProfileMode::kOn;
-  } else if (word == "off") {
-    spec.profileMode = simprof::ProfileMode::kOff;
-  } else if (word == "auto") {
-    spec.profileMode = simprof::ProfileMode::kAuto;
-  } else {
-    return Status::invalidArgument("unknown profile mode '" + word + "'");
-  }
-  return expect(lex, Kind::kRParen, "')'");
+  if (text == "auto") return Status::ok();
+  return policy::parseField(field, text, info.clause, spec);
 }
 
 Status parseSchedule(Lexer& lex, DirectiveSpec& spec) {
@@ -406,14 +384,8 @@ Result<DirectiveSpec> parseDirective(std::string_view text) {
     } else if (word == "tune") {
       const Status s = parseTune(lex, spec);
       if (!s.isOk()) return s;
-    } else if (word == "fault") {
-      const Status s = parseFault(lex, spec);
-      if (!s.isOk()) return s;
-    } else if (word == "watchdog") {
-      const Status s = parseWatchdog(lex, spec);
-      if (!s.isOk()) return s;
-    } else if (word == "profile") {
-      const Status s = parseProfile(lex, spec);
+    } else if (const policy::Field* field = policyClause(word)) {
+      const Status s = parsePolicyClause(lex, *field, spec);
       if (!s.isOk()) return s;
     } else if (word == "nowait") {
       // Accepted; deferral is the caller's choice of launch API.
@@ -476,9 +448,7 @@ dsl::LaunchSpec DirectiveSpec::toLaunchSpec(
   spec.parallelModeAuto =
       !parallelModeExplicit && (tuned || parallelModeAuto);
   if (hasSchedule) spec.scheduleChunk = schedule.chunk;
-  spec.faultSpec = faultSpec;
-  spec.watchdogSteps = watchdogSteps;
-  spec.profile.mode = profileMode;
+  spec.policy() = policy();
   return spec;
 }
 

@@ -25,6 +25,7 @@
 #include "hostrt/data_env.h"
 #include "omprt/modes.h"
 #include "omprt/schedule.h"
+#include "support/policy.h"
 #include "support/status.h"
 
 namespace simtomp::front {
@@ -39,7 +40,11 @@ struct ReductionClause {
   std::string name;
 };
 
-struct DirectiveSpec {
+/// The parsed directive. Its execution-policy part is set by the table's
+/// clauses (support/policy.def): `fault(plan|off)`, `watchdog(n|off)`
+/// and `profile(on|off)`; `auto`, like an absent clause, leaves the
+/// field to the environment.
+struct DirectiveSpec : policy::ExecPolicy {
   // Constructs present in the directive, in OpenMP nesting order.
   bool hasTarget = false;
   bool hasTeams = false;
@@ -71,15 +76,6 @@ struct DirectiveSpec {
   // that was not given explicitly auto; individual clauses can also opt
   // in with an `auto` argument, e.g. simdlen(auto) or num_teams(auto).
   std::string tuneKey;
-  // Fault injection / watchdog (extension clauses; see src/simfault).
-  // `fault(plan)` carries a SIMTOMP_FAULT-style plan ("off" pins
-  // injection off); `watchdog(n|off)` sets the per-block step budget.
-  std::string faultSpec;
-  uint64_t watchdogSteps = 0;     ///< 0 = auto; simfault::kWatchdogOff = off
-  // Profiling (extension clause; see src/simprof). `profile(on|off)`
-  // pins hierarchical profiling for this launch; absent (or
-  // `profile(auto)`) defers to the SIMTOMP_PROF environment variable.
-  simprof::ProfileMode profileMode = simprof::ProfileMode::kAuto;
   bool numTeamsAuto = false;      ///< num_teams(auto)
   bool threadLimitAuto = false;   ///< thread_limit(auto)
   bool simdlenAuto = false;       ///< simdlen(auto)

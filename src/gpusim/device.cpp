@@ -72,14 +72,16 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
     return status;
   };
 
+  Result<policy::ExecPolicy> resolved = policy::resolve(config);
+  if (!resolved.isOk()) return fail(resolved.status());
+  const policy::ExecPolicy& exec = resolved.value();
+
   // Arm injected faults before anything else observable happens. A
   // pre-launch device loss must leave the previous launch's check
   // report published (nothing ran), so it returns before the check
   // state below is touched.
-  const simfault::WatchdogResolution watchdog =
-      simfault::resolveWatchdogSteps(config.watchdogSteps);
   Result<simfault::LaunchArm> armed =
-      injector_.arm(config.fault, config.numBlocks);
+      injector_.arm(exec.fault.spec, config.simdActive, config.numBlocks);
   if (!armed.isOk()) return fail(armed.status());
   const simfault::LaunchArm arm = std::move(armed).value();
   if (arm.lostPre) {
@@ -87,15 +89,12 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
         "[simfault] injected device loss before launch; nothing ran"));
   }
 
-  const simcheck::CheckResolution check =
-      simcheck::resolveCheckMode(config.check.mode);
-  const bool checking = check.effective != simcheck::CheckMode::kOff;
-  last_check_mode_ = check.effective;
-
-  const simprof::ProfileResolution prof =
-      simprof::resolveProfileMode(config.profile.mode);
-  const bool profiling = prof.effective == simprof::ProfileMode::kOn;
-  last_profile_mode_ = prof.effective;
+  const bool checking = exec.check.mode != simcheck::CheckMode::kOff;
+  last_check_mode_ = exec.check.mode;
+  const bool profiling = exec.profile.mode == simprof::ProfileMode::kOn;
+  last_profile_mode_ = exec.profile.mode;
+  const uint64_t watchdog_steps =
+      exec.watchdogSteps == simfault::kWatchdogOff ? 0 : exec.watchdogSteps;
 
   std::vector<BlockOutcome> outcomes(config.numBlocks);
   const auto runBlock = [&](uint32_t b) {
@@ -105,7 +104,7 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
                          config.threadsPerBlock);
       if (checking) {
         out.checker = std::make_unique<simcheck::BlockChecker>(
-            config.check, b, config.threadsPerBlock, arch_.warpSize);
+            b, config.threadsPerBlock, arch_.warpSize);
         engine.setChecker(out.checker.get());
       }
       if (profiling) {
@@ -114,7 +113,7 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
             /*capture_spans=*/trace_ != nullptr);
         engine.setProfiler(out.profiler.get());
       }
-      engine.setWatchdog(watchdog.steps);
+      engine.setWatchdog(watchdog_steps);
       engine.setFault(arm.forBlock(b));
       if (setup) setup(engine);
       out.status = engine.run(kernel);
@@ -136,7 +135,7 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
   };
 
   const uint32_t workers =
-      std::min(resolveHostWorkers(config.hostWorkers), config.numBlocks);
+      std::min(exec.hostWorkers, config.numBlocks);
   if (workers <= 1) {
     for (uint32_t b = 0; b < config.numBlocks; ++b) {
       runBlock(b);
@@ -149,7 +148,6 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
   // Publish the check report before the status merge below can return:
   // a deadlocked (divergent) launch must still deliver its diagnostics.
   last_check_report_ = simcheck::CheckReport{};
-  last_check_report_.maxDiagnostics = config.check.maxDiagnostics;
   if (checking) {
     std::vector<std::pair<uint32_t, const simcheck::GlobalFootprint*>>
         footprints;
@@ -279,7 +277,7 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
   last_profile_.finalize(stats.cycles);
   metrics.observe(simprof::metric::kLaunchCycles, stats.cycles);
   SIMTOMP_DEBUG("kernel done: %s", stats.summary().c_str());
-  if (check.effective == simcheck::CheckMode::kFatal &&
+  if (exec.check.mode == simcheck::CheckMode::kFatal &&
       !last_check_report_.clean()) {
     return fail(Status::failedPrecondition(
         "simcheck found " + std::to_string(last_check_report_.total()) +

@@ -22,43 +22,31 @@
 #include "simcheck/report.h"
 #include "simfault/fault.h"
 #include "simprof/profile.h"
+#include "support/policy.h"
 #include "support/status.h"
 
 namespace simtomp::gpusim {
 
-struct LaunchConfig {
+/// A kernel launch: the grid shape plus the execution policy
+/// (support/policy.h), which Device::launch resolves on entry. Of the
+/// policy, the launch uses hostWorkers (host threads running independent
+/// blocks), check (findings land in Device::lastCheckReport(); kFatal
+/// fails an unclean launch), profile (the construct tree lands in
+/// Device::lastProfile()), fault and watchdogSteps. None of them
+/// charges modeled cycles: stats are bit-identical for any value.
+struct LaunchConfig : policy::ExecPolicy {
+  LaunchConfig() = default;
+  LaunchConfig(uint32_t blocks, uint32_t threads)
+      : numBlocks(blocks), threadsPerBlock(threads) {}
+
   uint32_t numBlocks = 1;
   /// Threads per block. Need not be a warp multiple: a partial final
   /// warp is supported (its member mask has fewer lanes, and full-mask
   /// warp collectives synchronize only the existing lanes).
   uint32_t threadsPerBlock = 32;
-  /// Host threads executing independent blocks (simulation wall-clock
-  /// only; modeled cycles are unaffected). 0 = auto: the
-  /// SIMTOMP_HOST_WORKERS environment variable if set, else
-  /// hardware_concurrency. 1 = today's serial path.
-  uint32_t hostWorkers = 0;
-  /// Correctness checking (simcheck). Default kAuto resolves the
-  /// SIMTOMP_CHECK environment variable on every launch; findings land
-  /// in Device::lastCheckReport(), and kFatal additionally fails the
-  /// launch when the report is not clean. Checking charges no modeled
-  /// cycles — stats are bit-identical with checking on or off.
-  simcheck::CheckConfig check{};
-  /// Fault injection (simfault). An empty `fault.spec` consults the
-  /// SIMTOMP_FAULT environment variable on every launch;
-  /// `fault.simdActive` is filled by the omprt launch layer so
-  /// when=simd plans can be evaluated at arm time.
-  simfault::FaultConfig fault{};
-  /// Per-block watchdog step budget. 0 = auto (SIMTOMP_WATCHDOG env or
-  /// the built-in default); simfault::kWatchdogOff disables the
-  /// watchdog. Injected faults charge no modeled cycles, and the budget
-  /// check lives in the fiber scheduler loop, off the device-side hot
-  /// path — stats are bit-identical with the watchdog on or off.
-  uint64_t watchdogSteps = 0;
-  /// Hierarchical profiling (simprof). Default kAuto resolves the
-  /// SIMTOMP_PROF environment variable on every launch; the construct
-  /// tree lands in Device::lastProfile(). Profiling charges no modeled
-  /// cycles — stats are bit-identical with profiling on or off.
-  simprof::ProfileConfig profile{};
+  /// Whether the launch runs SIMD groups wider than 1, so when=simd
+  /// fault plans can be evaluated at arm time (set by omprt).
+  bool simdActive = false;
 };
 
 /// Optional per-block hook: runs on the host before a block starts, e.g.

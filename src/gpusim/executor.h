@@ -30,10 +30,10 @@
 
 namespace simtomp::gpusim {
 
-/// Resolve the effective host worker count for a launch: an explicit
-/// `requested` > 0 wins, else the SIMTOMP_HOST_WORKERS environment
-/// variable (re-read on every launch so tests can flip it), else
-/// std::thread::hardware_concurrency(). Always at least 1.
+/// The hostWorkers row of the execution policy resolved on its own:
+/// an explicit `requested` > 0 wins, else SIMTOMP_HOST_WORKERS, else
+/// std::thread::hardware_concurrency(). Always at least 1. An invalid
+/// SIMTOMP_HOST_WORKERS fails a launch; here it yields the built-in.
 uint32_t resolveHostWorkers(uint32_t requested);
 
 /// Persistent worker pool for independent block (or device) tasks.

@@ -26,6 +26,14 @@ std::string shapeString(const omprt::TargetConfig& config) {
 /// shape: a trap, deadline or exhaustion reproduces deterministically.
 bool isTransient(StatusCode code) { return code == StatusCode::kUnavailable; }
 
+/// Resolve `config`'s execution policy in place.
+Status resolvePolicy(omprt::TargetConfig& config) {
+  Result<policy::ExecPolicy> resolved = policy::resolve(config);
+  if (!resolved.isOk()) return resolved.status();
+  config.policy() = std::move(resolved).value();
+  return Status::ok();
+}
+
 }  // namespace
 
 DeviceManager::DeviceManager(std::vector<gpusim::ArchSpec> specs,
@@ -51,33 +59,14 @@ DeviceManager::DeviceManager(std::vector<gpusim::ArchSpec> specs,
   last_resilience_.resize(devices_.size());
 }
 
-void DeviceManager::applyDefaults(omprt::TargetConfig& config) const {
-  std::shared_lock lock(defaults_mutex_);
-  if (config.hostWorkers == 0) config.hostWorkers = default_host_workers_;
-  if (config.check.mode == simcheck::CheckMode::kAuto) {
-    config.check = default_check_;
-  }
-  if (config.profile.mode == simprof::ProfileMode::kAuto) {
-    config.profile = default_profile_;
-  }
-}
-
 Status DeviceManager::resolveTuning(size_t n, omprt::TargetConfig& config,
                                     gpusim::Device* device,
                                     const omprt::TargetRegionFn* region) {
-  if (config.tuneKey.empty() || !omprt::hasAutoLaunchFields(config)) {
+  if (config.tuneKey.empty() || !omprt::hasAutoLaunchFields(config) ||
+      config.tune == simtune::TuneMode::kOff) {
     return Status::ok();
   }
-  simtune::TuneMode requested_mode;
-  std::shared_ptr<simtune::Tuner> tuner;
-  {
-    std::shared_lock lock(defaults_mutex_);
-    requested_mode = default_tune_mode_;
-    tuner = default_tuner_;
-  }
-  const simtune::TuneResolution resolution =
-      simtune::resolveTuneMode(requested_mode);
-  if (resolution.effective == simtune::TuneMode::kOff) return Status::ok();
+  std::shared_ptr<simtune::Tuner> tuner = defaultTuner();
   if (tuner == nullptr) {
     // Lazy default-tuner creation: re-check under the exclusive lock so
     // concurrent launches agree on one instance.
@@ -99,7 +88,7 @@ Status DeviceManager::resolveTuning(size_t n, omprt::TargetConfig& config,
   // kTune runs a trial search when the caller can run trials (the
   // synchronous launch path — deferred launches never tune, since the
   // trial launches would reorder against queued work).
-  if (resolution.effective == simtune::TuneMode::kTune && device != nullptr &&
+  if (config.tune == simtune::TuneMode::kTune && device != nullptr &&
       region != nullptr) {
     simtune::TuneRequest request;
     request.strategy = simtune::TuneStrategy::kHillClimb;
@@ -115,14 +104,10 @@ Status DeviceManager::resolveTuning(size_t n, omprt::TargetConfig& config,
 omprt::TargetConfig DeviceManager::effectiveConfig(
     size_t n, omprt::TargetConfig config) {
   SIMTOMP_CHECK(n < devices_.size(), "device number out of range");
-  applyDefaults(config);
-  (void)resolveTuning(n, config, /*device=*/nullptr, /*region=*/nullptr);
+  if (resolvePolicy(config).isOk()) {
+    (void)resolveTuning(n, config, /*device=*/nullptr, /*region=*/nullptr);
+  }
   omprt::resolveAutoConfig(devices_[n]->arch(), config);
-  config.check = simcheck::CheckConfig{
-      simcheck::resolveCheckMode(config.check.mode).effective,
-      config.check.maxDiagnostics};
-  config.profile.mode =
-      simprof::resolveProfileMode(config.profile.mode).effective;
   return config;
 }
 
@@ -137,12 +122,11 @@ Result<gpusim::KernelStats> DeviceManager::launchOn(
                                " is quarantined (circuit breaker open)");
   }
   omprt::TargetConfig effective = config;
-  applyDefaults(effective);
+  const Status resolved = resolvePolicy(effective);
+  if (!resolved.isOk()) return resolved;
   const Status tuned = resolveTuning(n, effective, devices_[n].get(), &region);
   if (!tuned.isOk()) return tuned;
-  const simfault::ResilienceResolution resilience =
-      simfault::resolveResilienceMode(defaultResilienceMode());
-  if (resilience.effective == simfault::ResilienceMode::kOff) {
+  if (effective.resilience == simfault::ResilienceMode::kOff) {
     return omprt::launchTarget(*devices_[n], effective, region);
   }
   return launchResilient(n, std::move(effective), region);
@@ -249,7 +233,7 @@ Result<gpusim::KernelStats> DeviceManager::launchResilient(
     serial.parallelMode = omprt::ExecMode::kSPMD;
     serial.simdlen = 1;
     serial.hostWorkers = 1;
-    serial.fault.spec = "off";  // empty would re-consult SIMTOMP_FAULT
+    serial.fault.spec = "off";
     serial.check.mode = simcheck::CheckMode::kOff;
     resetForRecovery();
     metrics.add(simprof::metric::kResilienceHostSerialTotal);
@@ -277,7 +261,11 @@ std::future<Result<gpusim::KernelStats>> DeviceManager::launchOnAsync(
         " is quarantined (circuit breaker open)"));
     return refused.get_future();
   }
-  applyDefaults(config);
+  if (Status resolved = resolvePolicy(config); !resolved.isOk()) {
+    std::promise<Result<gpusim::KernelStats>> refused;
+    refused.set_value(std::move(resolved));
+    return refused.get_future();
+  }
   // Deferred launches resolve from the tuning cache only (see
   // resolveTuning); a miss falls back to launchTarget's heuristics.
   (void)resolveTuning(n, config, /*device=*/nullptr, /*region=*/nullptr);

@@ -39,93 +39,40 @@ class DeviceManager {
   [[nodiscard]] DataEnvironment& dataEnv(size_t n) { return *envs_.at(n); }
   [[nodiscard]] TargetTaskQueue& taskQueue(size_t n) { return *queues_.at(n); }
 
-  // The setDefault* family may be called while launches are running on
-  // other threads (simserve reconfigures the manager it fronts), so the
-  // default fields are guarded by a shared_mutex: launches read them
-  // under a shared lock, setters write under an exclusive one, and the
-  // getters return copies taken under the shared lock.
+  // The tuner and the resilience policy may be replaced while launches
+  // run on other threads, so both sit behind a shared_mutex: launches
+  // read them under a shared lock, the setters write under an exclusive
+  // one, and the getters return copies taken under the shared lock.
+  // Whether tuning and the resilience chain run at all is the launch's
+  // execution policy (TargetConfig::tune / ::resilience).
 
-  /// Default hostWorkers applied to launches whose config leaves it 0
-  /// (auto). All devices share the process-wide BlockExecutor pool, so
-  /// concurrent `device(n)` launches (sync from different host threads,
-  /// or nowait tasks from the per-device helper threads) interleave
-  /// their blocks over the same workers instead of serializing.
-  void setDefaultHostWorkers(uint32_t workers) {
-    std::unique_lock lock(defaults_mutex_);
-    default_host_workers_ = workers;
-  }
-  [[nodiscard]] uint32_t defaultHostWorkers() const {
-    std::shared_lock lock(defaults_mutex_);
-    return default_host_workers_;
-  }
-
-  /// Default simcheck config applied to launches whose config leaves
-  /// the mode kAuto (mirrors setDefaultHostWorkers).
-  void setDefaultCheck(simcheck::CheckConfig check) {
-    std::unique_lock lock(defaults_mutex_);
-    default_check_ = check;
-  }
-  [[nodiscard]] simcheck::CheckConfig defaultCheck() const {
-    std::shared_lock lock(defaults_mutex_);
-    return default_check_;
-  }
-
-  /// Default simprof config applied to launches whose config leaves the
-  /// mode kAuto (mirrors setDefaultCheck). An unset default stays
-  /// kAuto, so SIMTOMP_PROF still decides per launch.
-  void setDefaultProfile(simprof::ProfileConfig profile) {
-    std::unique_lock lock(defaults_mutex_);
-    default_profile_ = profile;
-  }
-  [[nodiscard]] simprof::ProfileConfig defaultProfile() const {
-    std::shared_lock lock(defaults_mutex_);
-    return default_profile_;
-  }
-
-  /// Default autotuner consulted by launches that carry a tune key and
-  /// auto launch-shape fields (mirrors setDefaultHostWorkers /
-  /// setDefaultCheck). `mode` kAuto defers to the SIMTOMP_TUNE env var
-  /// on every launch; an explicit mode pins tuning on or off. When no
-  /// tuner was set but the resolved mode enables tuning, a default
-  /// tuner (cache path from SIMTOMP_TUNE_CACHE) is created lazily on
-  /// first use, so `SIMTOMP_TUNE=1` works with zero code changes.
-  void setDefaultTuner(std::shared_ptr<simtune::Tuner> tuner,
-                       simtune::TuneMode mode = simtune::TuneMode::kAuto) {
+  /// Autotuner consulted by launches that carry a tune key and auto
+  /// launch-shape fields when their tune field resolves to cache or
+  /// tune. When none was set, a default tuner (cache path from
+  /// SIMTOMP_TUNE_CACHE) is created lazily on first use, so
+  /// `SIMTOMP_TUNE=1` works with zero code changes.
+  void setDefaultTuner(std::shared_ptr<simtune::Tuner> tuner) {
     std::unique_lock lock(defaults_mutex_);
     default_tuner_ = std::move(tuner);
-    default_tune_mode_ = mode;
   }
   [[nodiscard]] std::shared_ptr<simtune::Tuner> defaultTuner() const {
     std::shared_lock lock(defaults_mutex_);
     return default_tuner_;
   }
-  [[nodiscard]] simtune::TuneMode defaultTuneMode() const {
-    std::shared_lock lock(defaults_mutex_);
-    return default_tune_mode_;
-  }
 
-  /// Resilience policy driving the synchronous launch path (mirrors
-  /// setDefaultCheck / setDefaultTuner). `mode` kAuto defers to the
-  /// SIMTOMP_RESILIENCE env var on every launch (default: on). When the
-  /// resolved mode is on, launchOn runs the graceful-degradation chain
-  /// — retry with capped (modeled) backoff for transient UNAVAILABLE
-  /// faults, SIMD -> generic mode fallback, host-serial reference — and
-  /// publishes a ResilienceReport. Deferred launches (launchOnAsync)
-  /// never run the chain: a retry would reorder against queued work.
-  void setDefaultResilience(
-      simfault::ResiliencePolicy policy,
-      simfault::ResilienceMode mode = simfault::ResilienceMode::kAuto) {
+  /// Knobs of the graceful-degradation chain that launchOn runs when a
+  /// launch's resilience field resolves to on: retry with capped
+  /// (modeled) backoff for transient UNAVAILABLE faults, SIMD -> generic
+  /// mode fallback, host-serial reference; the outcome is published as
+  /// a ResilienceReport. Deferred launches (launchOnAsync) never run the
+  /// chain: a retry would reorder against queued work.
+  void setDefaultResilience(simfault::ResiliencePolicy policy) {
     std::unique_lock lock(defaults_mutex_);
-    default_resilience_ = policy;
-    resilience_mode_ = mode;
+    resilience_policy_ = policy;
   }
   [[nodiscard]] simfault::ResiliencePolicy defaultResiliencePolicy() const {
     std::shared_lock lock(defaults_mutex_);
-    return default_resilience_;
-  }
-  [[nodiscard]] simfault::ResilienceMode defaultResilienceMode() const {
-    std::shared_lock lock(defaults_mutex_);
-    return resilience_mode_;
+    return resilience_policy_;
   }
 
   /// Health of device n per the recovery state machine: healthy until a
@@ -169,10 +116,11 @@ class DeviceManager {
   }
 
   /// The configuration launchOn(n, config, ...) would actually launch
-  /// with: manager defaults (hostWorkers, check) applied, tuner cache
-  /// consulted (never trials) and the remaining auto fields resolved
-  /// heuristically. Exposed so tests and `simtomp_info --tune` can
-  /// observe default-plumbing precedence without launching anything.
+  /// with: execution policy resolved, tuner cache consulted (never
+  /// trials) and the remaining auto fields resolved heuristically.
+  /// Exposed so tests can observe policy precedence without launching
+  /// anything. When the environment holds an invalid policy value the
+  /// policy fields stay as requested (launchOn rejects such a launch).
   [[nodiscard]] omprt::TargetConfig effectiveConfig(size_t n,
                                                     omprt::TargetConfig config);
 
@@ -189,10 +137,9 @@ class DeviceManager {
   void drainAll();
 
  private:
-  /// Apply manager defaults to a launch config (hostWorkers, check).
-  void applyDefaults(omprt::TargetConfig& config) const;
-  /// Tuner-aware resolution of auto launch-shape fields. Cache-only
-  /// unless `device` is non-null and the effective mode is kTune, in
+  /// Tuner-aware resolution of auto launch-shape fields of a config
+  /// whose policy is resolved. Cache-only
+  /// unless `device` is non-null and the tune field is kTune, in
   /// which case a cache miss runs a trial search on that device (so
   /// only the synchronous launch path passes a device). Returns a
   /// non-ok status only when a trial search itself failed.
@@ -210,16 +157,11 @@ class DeviceManager {
   std::vector<std::unique_ptr<gpusim::Device>> devices_;
   std::vector<std::unique_ptr<DataEnvironment>> envs_;
   std::vector<std::unique_ptr<TargetTaskQueue>> queues_;
-  /// Guards every default_* field (and resilience_mode_) below: shared
-  /// on the launch paths, exclusive in the setters.
+  /// Guards default_tuner_ and resilience_policy_: shared on the
+  /// launch paths, exclusive in the setters.
   mutable std::shared_mutex defaults_mutex_;
-  uint32_t default_host_workers_ = 0;  ///< 0 = auto (env / hardware)
-  simcheck::CheckConfig default_check_{};  ///< kAuto = env / off
-  simprof::ProfileConfig default_profile_{};  ///< kAuto = env / off
   std::shared_ptr<simtune::Tuner> default_tuner_;  ///< may be lazily created
-  simtune::TuneMode default_tune_mode_ = simtune::TuneMode::kAuto;
-  simfault::ResiliencePolicy default_resilience_{};
-  simfault::ResilienceMode resilience_mode_ = simfault::ResilienceMode::kAuto;
+  simfault::ResiliencePolicy resilience_policy_{};
   std::vector<simfault::DeviceHealth> health_;
   /// Circuit-breaker quarantine overlay (atomic: flipped by a service
   /// thread while launch threads read it).

@@ -28,14 +28,22 @@
 #include <shared_mutex>
 #include <unordered_map>
 
+#include "support/policy.h"
+
 namespace simtomp::omprt {
 
-/// Launch-level fast-path switch. kAuto consults SIMTOMP_FAST
-/// ("0"/"off"/"false" disable; anything else, or unset, enables).
-enum class FastPathMode : uint8_t { kAuto, kOn, kOff };
+/// Launch-level fast-path switch: the fastPath row of the execution
+/// policy (explicit > SIMTOMP_FAST > on).
+using FastPathMode = policy::FastPathMode;
 
-/// Resolve a FastPathMode to on/off (reads the environment for kAuto).
-[[nodiscard]] bool resolveFastPath(FastPathMode mode);
+/// The fastPath row resolved on its own, as on/off. An invalid
+/// SIMTOMP_FAST fails a launch; here it yields the built-in on.
+[[nodiscard]] inline bool resolveFastPath(FastPathMode mode) {
+  policy::ExecPolicy p;
+  p.fastPath = mode;
+  (void)policy::resolveField(policy::Field::fastPath, p);
+  return p.fastPath == FastPathMode::kOn;
+}
 
 /// Process-wide verdict cache, keyed by outlined body function pointer.
 /// Registration order in the dispatcher cascade is append-only, so a

@@ -62,27 +62,25 @@ Result<gpusim::KernelStats> launchTarget(gpusim::Device& device,
 
   const Status valid = config.validate(device.arch());
   if (!valid.isOk()) return valid;
+  Result<policy::ExecPolicy> resolved = policy::resolve(config);
+  if (!resolved.isOk()) return resolved.status();
 
   gpusim::LaunchConfig launch;
+  launch.policy() = std::move(resolved).value();
   launch.numBlocks = config.numTeams;
   launch.threadsPerBlock =
       config.threadsPerTeam +
       (config.teamsMode == ExecMode::kGeneric ? device.arch().warpSize : 0);
-  launch.hostWorkers = config.hostWorkers;
-  launch.check = config.check;
-  launch.fault = config.fault;
   // when=simd fault plans key off the *effective* launch shape, so the
   // generic-mode fallback (simdlen 1) genuinely escapes them.
-  launch.fault.simdActive = config.simdlen > 1;
-  launch.watchdogSteps = config.watchdogSteps;
-  launch.profile = config.profile;
+  launch.simdActive = config.simdlen > 1;
 
   // Launch-wide defaults for region-level auto fields; never auto
   // themselves (resolveAutoConfig ran above).
   const ParallelConfig default_parallel{config.parallelMode, config.simdlen,
                                         /*modeAuto=*/false};
 
-  const bool fast_path = resolveFastPath(config.fastPath);
+  const bool fast_path = launch.fastPath == FastPathMode::kOn;
 
   // Each block's TeamState lives in that block's arena, dying with the
   // engine: no per-launch state vector, and under host-parallel

@@ -29,13 +29,11 @@ std::string flagNames(uint8_t flags) {
 
 }  // namespace
 
-BlockChecker::BlockChecker(const CheckConfig& config, uint32_t block_id,
-                           uint32_t num_threads, uint32_t warp_size)
-    : config_(config),
-      block_id_(block_id),
+BlockChecker::BlockChecker(uint32_t block_id, uint32_t num_threads,
+                           uint32_t warp_size)
+    : block_id_(block_id),
       num_threads_(num_threads),
       warp_size_(warp_size) {
-  report_.maxDiagnostics = config.maxDiagnostics;
   vc_.resize(num_threads);
   for (uint32_t t = 0; t < num_threads; ++t) {
     vc_[t].assign(num_threads, 0);

@@ -60,8 +60,7 @@ class BlockChecker {
   /// Sentinel sharing-slot key for the team-level slot.
   static constexpr uint32_t kTeamSlot = 0xFFFFFFFFu;
 
-  BlockChecker(const CheckConfig& config, uint32_t block_id,
-               uint32_t num_threads, uint32_t warp_size);
+  BlockChecker(uint32_t block_id, uint32_t num_threads, uint32_t warp_size);
 
   /// Address ranges used to classify raw pointers; accesses outside
   /// both ranges (host/stack memory) are ignored.
@@ -177,7 +176,6 @@ class BlockChecker {
                                         std::unordered_set<uint64_t>& writes,
                                         uint64_t granule, AccessKind kind);
 
-  CheckConfig config_;
   uint32_t block_id_;
   uint32_t num_threads_;
   uint32_t warp_size_;

@@ -5,7 +5,7 @@
 // probabilistically — the bug classes that plague GPU OpenMP runtimes:
 // data races, barrier divergence, and sharing-space protocol misuse.
 // This header defines the user-facing surface: how checking is
-// requested (CheckConfig + the SIMTOMP_CHECK environment knob) and how
+// requested (the check row of the execution policy, support/policy.h) and how
 // findings come back (CheckReport, a per-launch structured summary that
 // tests assert on and Device::launch can turn into a hard error).
 //
@@ -21,23 +21,12 @@
 #include <string_view>
 #include <vector>
 
+#include "support/policy.h"
+
 namespace simtomp::simcheck {
 
-/// How a launch should be checked.
-enum class CheckMode : uint8_t {
-  kAuto = 0,  ///< resolve from SIMTOMP_CHECK env var (default: off)
-  kOff,       ///< no checking, zero overhead (one null-pointer branch)
-  kReport,    ///< collect findings into Device::lastCheckReport()
-  kFatal,     ///< additionally fail the launch when findings exist
-};
-
-/// Per-launch checking configuration; rides on gpusim::LaunchConfig the
-/// same way hostWorkers does (plumbed through TargetConfig/LaunchSpec).
-struct CheckConfig {
-  CheckMode mode = CheckMode::kAuto;
-  /// Findings beyond this many are counted but not stored verbatim.
-  uint32_t maxDiagnostics = 16;
-};
+using CheckMode = policy::CheckMode;
+using CheckConfig = policy::CheckConfig;
 
 /// Classes of findings, in report order.
 enum class DiagKind : uint8_t {
@@ -53,7 +42,9 @@ enum class DiagKind : uint8_t {
 inline constexpr size_t kNumDiagKinds = 8;
 
 [[nodiscard]] std::string_view diagKindName(DiagKind kind);
-[[nodiscard]] std::string_view checkModeName(CheckMode mode);
+inline std::string_view checkModeName(CheckMode mode) {
+  return policy::modeName(mode);
+}
 
 /// Which address space a finding refers to.
 enum class MemSpace : uint8_t { kNone = 0, kShared, kGlobal, kSynthetic };
@@ -98,19 +89,17 @@ struct CheckReport {
   [[nodiscard]] std::string toString() const;
 };
 
-/// How a CheckMode request resolved to an effective mode — kept so
-/// `simtomp_info --check` and CI logs can show where the mode came from.
+/// The check row of the execution policy resolved on its own
+/// (explicit > SIMTOMP_CHECK > off). An invalid SIMTOMP_CHECK fails a
+/// launch; here it yields the built-in off.
 struct CheckResolution {
-  CheckMode effective = CheckMode::kOff;  ///< never kAuto
-  const char* source = "default";  ///< "explicit" | "SIMTOMP_CHECK" | "default"
-  std::string envValue;            ///< raw env text when consulted
+  CheckMode effective = CheckMode::kOff;
 };
-
-/// Resolve `requested` against the SIMTOMP_CHECK environment variable.
-/// An explicit (non-auto) request always wins; kAuto consults the env
-/// var afresh on every call (so one process can flip checking between
-/// launches): "0"/"off" → off, "1"/"on"/"report" → report,
-/// "2"/"fatal" → fatal; unset or unrecognized → off.
-[[nodiscard]] CheckResolution resolveCheckMode(CheckMode requested);
+inline CheckResolution resolveCheckMode(CheckMode requested) {
+  policy::ExecPolicy p;
+  p.check.mode = requested;
+  (void)policy::resolveField(policy::Field::check, p);
+  return {p.check.mode};
+}
 
 }  // namespace simtomp::simcheck

@@ -1,7 +1,6 @@
 #include "simfault/fault.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "simprof/metrics.h"
 
@@ -162,56 +161,6 @@ Result<FaultPlan> FaultPlan::parse(std::string_view text) {
   return plan;
 }
 
-FaultResolution resolveFaultSpec(const std::string& requested) {
-  FaultResolution resolution;
-  if (!requested.empty()) {
-    resolution.source = "explicit";
-    resolution.spec =
-        (requested == "off" || requested == "none") ? "" : requested;
-    return resolution;
-  }
-  if (const char* env = std::getenv("SIMTOMP_FAULT")) {
-    resolution.envValue = env;
-    resolution.source = "SIMTOMP_FAULT";
-    if (resolution.envValue != "off" && resolution.envValue != "none" &&
-        resolution.envValue != "0") {
-      resolution.spec = resolution.envValue;
-    }
-    return resolution;
-  }
-  return resolution;
-}
-
-WatchdogResolution resolveWatchdogSteps(uint64_t requested) {
-  WatchdogResolution resolution;
-  if (requested == kWatchdogOff) {
-    resolution.source = "explicit";
-    resolution.steps = 0;
-    return resolution;
-  }
-  if (requested != 0) {
-    resolution.source = "explicit";
-    resolution.steps = requested;
-    return resolution;
-  }
-  if (const char* env = std::getenv("SIMTOMP_WATCHDOG")) {
-    resolution.envValue = env;
-    resolution.source = "SIMTOMP_WATCHDOG";
-    uint64_t steps = 0;
-    if (resolution.envValue == "off" ||
-        (parseUint64(resolution.envValue, &steps) && steps == 0)) {
-      resolution.steps = 0;
-    } else if (parseUint64(resolution.envValue, &steps)) {
-      resolution.steps = steps;
-    } else {
-      resolution.steps = kDefaultWatchdogSteps;  // unrecognized: default on
-    }
-    return resolution;
-  }
-  resolution.steps = kDefaultWatchdogSteps;
-  return resolution;
-}
-
 const BlockFaultArm* LaunchArm::forBlock(uint32_t block) const {
   const auto it = std::lower_bound(
       blockFaults.begin(), blockFaults.end(), block,
@@ -220,17 +169,16 @@ const BlockFaultArm* LaunchArm::forBlock(uint32_t block) const {
   return &it->second;
 }
 
-Result<LaunchArm> Injector::arm(const FaultConfig& config,
+Result<LaunchArm> Injector::arm(std::string_view plan_text, bool simdActive,
                                 uint32_t numBlocks) {
-  const FaultResolution resolved = resolveFaultSpec(config.spec);
-  Result<FaultPlan> parsed = FaultPlan::parse(resolved.spec);
+  Result<FaultPlan> parsed = FaultPlan::parse(plan_text);
   if (!parsed.isOk()) return parsed.status();
   const FaultPlan& plan = parsed.value();
 
   const uint64_t attempt = launch_ordinal_++;
   LaunchArm arm;
   for (const FaultSpec& spec : plan.faults) {
-    if (spec.when == FaultWhen::kSimd && !config.simdActive) continue;
+    if (spec.when == FaultWhen::kSimd && !simdActive) continue;
     if (attempt < spec.afterLaunch) continue;
     uint64_t& fired = fired_[spec.canonical()];
     if (spec.count != 0 && fired >= spec.count) continue;

@@ -4,9 +4,9 @@
 // kernels trap mid-flight, devices drop off the bus, warp-level
 // synchronization corrupts, and the sharing space runs dry under load.
 // This subsystem makes those failures *reproducible*: a FaultPlan
-// (parsed from the SIMTOMP_FAULT env var, a fault(...) directive
-// clause, or explicit LaunchSpec plumbing — mirroring how check/tune
-// are wired) names the site, block and step at which each fault fires,
+// (the fault row of the execution policy: the SIMTOMP_FAULT env var, a
+// fault(...) directive clause, or an explicit launch field) names the
+// site, block and step at which each fault fires,
 // and the per-device Injector arms the plan at launch entry, in launch
 // order, so the same plan produces the same failures for any
 // SIMTOMP_HOST_WORKERS value.
@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "support/policy.h"
 #include "support/status.h"
 
 namespace simtomp::simfault {
@@ -81,46 +82,38 @@ struct FaultPlan {
   static Result<FaultPlan> parse(std::string_view text);
 };
 
-/// Per-launch fault request; rides gpusim::LaunchConfig the same way
-/// CheckConfig does. `spec` empty means "consult SIMTOMP_FAULT".
-/// `simdActive` is filled by the launch layer (omprt) so when=simd
-/// predicates can be evaluated at arm time.
-struct FaultConfig {
-  std::string spec;
-  bool simdActive = false;
-};
+/// Per-launch fault request: the fault row of the execution policy.
+using FaultConfig = policy::FaultConfig;
 
-/// Where a fault spec came from, for logs and simtomp_info.
+/// The fault row resolved on its own (explicit > SIMTOMP_FAULT > off);
+/// `spec` is "" when no plan applies. An invalid SIMTOMP_FAULT fails a
+/// launch; here it yields no plan.
 struct FaultResolution {
-  std::string spec;                ///< effective plan text (may be empty)
-  const char* source = "default";  ///< "explicit" | "SIMTOMP_FAULT" | "default"
-  std::string envValue;            ///< raw env text when consulted
+  std::string spec;
 };
+inline FaultResolution resolveFaultSpec(const std::string& requested) {
+  policy::ExecPolicy p;
+  p.fault.spec = requested;
+  (void)policy::resolveField(policy::Field::fault, p);
+  return {p.fault.spec == "off" || p.fault.spec == "none" ? "" : p.fault.spec};
+}
 
-/// Resolve `requested` against SIMTOMP_FAULT. A non-empty request
-/// always wins ("off"/"none" resolve to the empty plan without
-/// consulting the env); an empty request reads the env var afresh.
-[[nodiscard]] FaultResolution resolveFaultSpec(const std::string& requested);
+/// Watchdog step budgets: the watchdogSteps row of the execution
+/// policy. kWatchdogOff disables the watchdog.
+using policy::kDefaultWatchdogSteps;
+using policy::kWatchdogOff;
 
-/// Sentinel: watchdog explicitly disabled on the launch config.
-inline constexpr uint64_t kWatchdogOff = UINT64_MAX;
-/// Default per-block step budget when the watchdog resolves to auto:
-/// far above any legitimate kernel in this repo (the largest bench
-/// block runs ~2e5 scheduler steps) yet cheap to hit in a livelock.
-inline constexpr uint64_t kDefaultWatchdogSteps = uint64_t{1} << 26;
-
-/// Where the watchdog budget came from.
+/// The watchdog row resolved on its own (explicit > SIMTOMP_WATCHDOG >
+/// kDefaultWatchdogSteps); `steps` 0 means disabled.
 struct WatchdogResolution {
-  uint64_t steps = 0;              ///< 0 = watchdog disabled
-  const char* source = "default";  ///< "explicit"|"SIMTOMP_WATCHDOG"|"default"
-  std::string envValue;
+  uint64_t steps = 0;
 };
-
-/// Resolve a per-launch step budget. `requested` 0 means auto:
-/// consult SIMTOMP_WATCHDOG ("off"/"0" disables, a number is the
-/// budget), else use kDefaultWatchdogSteps. kWatchdogOff disables
-/// explicitly. Any other value is the explicit budget.
-[[nodiscard]] WatchdogResolution resolveWatchdogSteps(uint64_t requested);
+inline WatchdogResolution resolveWatchdogSteps(uint64_t requested) {
+  policy::ExecPolicy p;
+  p.watchdogSteps = requested;
+  (void)policy::resolveField(policy::Field::watchdogSteps, p);
+  return {p.watchdogSteps == kWatchdogOff ? 0 : p.watchdogSteps};
+}
 
 /// Faults armed for one specific block of one launch attempt. The
 /// BlockEngine holds a pointer to this for the duration of the block,
@@ -161,10 +154,13 @@ struct LaunchArm {
 /// the retry heals.
 class Injector {
  public:
-  /// Arm `config` for the next launch attempt (the attempt ordinal
-  /// advances even when nothing fires). Returns the armed faults, or
-  /// kInvalidArgument for an unparsable plan.
-  Result<LaunchArm> arm(const FaultConfig& config, uint32_t numBlocks);
+  /// Arm the plan `plan_text` (resolved: never read from the
+  /// environment here) for the next launch attempt; the attempt ordinal advances
+  /// even when nothing fires. `simdActive` says whether the launch runs
+  /// with simdlen > 1, for when=simd entries. Returns the armed faults,
+  /// or kInvalidArgument for an unparsable plan.
+  Result<LaunchArm> arm(std::string_view plan_text, bool simdActive,
+                        uint32_t numBlocks);
 
   [[nodiscard]] uint64_t launchCount() const { return launch_ordinal_; }
 

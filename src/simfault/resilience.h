@@ -19,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "support/policy.h"
 #include "support/status.h"
 
 namespace simtomp::simfault {
@@ -39,16 +40,15 @@ enum class RecoveryStage : uint8_t {
   kHostSerial,    ///< host-serial reference execution (1 team, 1 warp)
 };
 
-/// Whether the manager runs the resilient launch path at all.
-enum class ResilienceMode : uint8_t {
-  kAuto = 0,  ///< resolve from SIMTOMP_RESILIENCE (default: on)
-  kOff,       ///< plain launch; failures surface directly
-  kOn,        ///< retry / fallback chain per ResiliencePolicy
-};
+/// Whether the manager runs the resilient launch path at all: the
+/// resilience row of the execution policy.
+using ResilienceMode = policy::ResilienceMode;
 
 [[nodiscard]] std::string_view deviceHealthName(DeviceHealth health);
 [[nodiscard]] std::string_view recoveryStageName(RecoveryStage stage);
-[[nodiscard]] std::string_view resilienceModeName(ResilienceMode mode);
+inline std::string_view resilienceModeName(ResilienceMode mode) {
+  return policy::modeName(mode);
+}
 
 /// Knobs of the degradation chain.
 struct ResiliencePolicy {
@@ -59,17 +59,18 @@ struct ResiliencePolicy {
   bool hostSerial = true;      ///< allow the host-serial reference rung
 };
 
-/// How a ResilienceMode request resolved, for logs and simtomp_info.
+/// The resilience row resolved on its own (explicit >
+/// SIMTOMP_RESILIENCE > on). An invalid SIMTOMP_RESILIENCE fails a
+/// launch; here it yields the built-in on.
 struct ResilienceResolution {
-  ResilienceMode effective = ResilienceMode::kOn;  ///< never kAuto
-  const char* source = "default";  ///< "explicit"|"SIMTOMP_RESILIENCE"|...
-  std::string envValue;
+  ResilienceMode effective = ResilienceMode::kOn;
 };
-
-/// Resolve `requested` against SIMTOMP_RESILIENCE ("0"/"off" -> off,
-/// "1"/"on" -> on; unset or unrecognized -> on). Explicit wins.
-[[nodiscard]] ResilienceResolution resolveResilienceMode(
-    ResilienceMode requested);
+inline ResilienceResolution resolveResilienceMode(ResilienceMode requested) {
+  policy::ExecPolicy p;
+  p.resilience = requested;
+  (void)policy::resolveField(policy::Field::resilience, p);
+  return {p.resilience};
+}
 
 /// The modeled capped-exponential-backoff schedule every retry path in
 /// the repo shares: min(base << (attempt - 1), cap) for attempt >= 1

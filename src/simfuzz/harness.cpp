@@ -370,7 +370,7 @@ SimRun runOnSim(const FuzzProgram& p, const RunOptions& opt) {
   dsl::LaunchSpec spec = p.launchSpec();
   spec.hostWorkers = opt.hostWorkers;
   spec.fastPath = opt.fastPath;
-  if (!opt.faultSpec.empty()) spec.faultSpec = opt.faultSpec;
+  if (!opt.faultSpec.empty()) spec.fault.spec = opt.faultSpec;
 
   auto stats = launchDispatch(dev, p, spec, out, out2, acc);
   simprof::MetricsRegistry::global().add(simprof::metric::kFuzzRunsTotal);

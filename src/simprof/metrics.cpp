@@ -92,17 +92,14 @@ constexpr MetricDef kCatalog[] = {
 static_assert(std::size(kCatalog) == MetricsRegistry::kNumMetrics,
               "metric catalog and registry cell count out of sync");
 
-/// Histogram bucket upper bounds: 4^1 .. 4^(kHistogramBuckets-1), +Inf.
-uint64_t bucketBound(size_t i) { return uint64_t{1} << (2 * (i + 1)); }
+}  // namespace
 
-size_t bucketFor(uint64_t value) {
-  for (size_t i = 0; i + 1 < MetricsRegistry::kHistogramBuckets; ++i) {
+size_t MetricsRegistry::bucketFor(uint64_t value) {
+  for (size_t i = 0; i + 1 < kHistogramBuckets; ++i) {
     if (value <= bucketBound(i)) return i;
   }
-  return MetricsRegistry::kHistogramBuckets - 1;
+  return kHistogramBuckets - 1;
 }
-
-}  // namespace
 
 std::string_view metricTypeName(MetricType type) {
   switch (type) {

@@ -126,7 +126,15 @@ inline constexpr std::string_view kFuzzMinimizeStepsTotal =
 class MetricsRegistry {
  public:
   /// Histogram buckets: upper bounds 4^1 .. 4^14 cycles, plus +Inf.
+  /// The one bucket scheme of the repo (simserve's LatencyHistogram
+  /// uses it too).
   static constexpr size_t kHistogramBuckets = 15;
+  /// Upper bound of bucket i < kHistogramBuckets - 1: 4^(i+1).
+  [[nodiscard]] static uint64_t bucketBound(size_t i) {
+    return uint64_t{1} << (2 * (i + 1));
+  }
+  /// The bucket that counts `value`.
+  [[nodiscard]] static size_t bucketFor(uint64_t value);
   /// Catalog size (static_asserted against allMetricDefs()).
   static constexpr size_t kNumMetrics = 36;
 

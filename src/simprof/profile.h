@@ -28,6 +28,8 @@
 #include <string_view>
 #include <vector>
 
+#include "support/policy.h"
+
 namespace simtomp::simprof {
 
 /// Nodes of the construct tree, in nesting order.
@@ -48,33 +50,27 @@ inline constexpr size_t kNumConstructs = static_cast<size_t>(Construct::kCount);
 
 [[nodiscard]] std::string_view constructName(Construct c);
 
-/// How a launch should be profiled. Mirrors simcheck::CheckMode.
-enum class ProfileMode : uint8_t {
-  kAuto = 0,  ///< resolve from the SIMTOMP_PROF env var (default: off)
-  kOff,       ///< no profiling, zero overhead (one null-pointer branch)
-  kOn,        ///< build the construct tree into Device::lastProfile()
-};
+/// How a launch should be profiled: the profile row of the execution
+/// policy (support/policy.h).
+using ProfileMode = policy::ProfileMode;
+using ProfileConfig = policy::ProfileConfig;
 
-[[nodiscard]] std::string_view profileModeName(ProfileMode mode);
+inline std::string_view profileModeName(ProfileMode mode) {
+  return policy::modeName(mode);
+}
 
-/// Per-launch profiling configuration; rides on gpusim::LaunchConfig
-/// the same way hostWorkers / check do.
-struct ProfileConfig {
-  ProfileMode mode = ProfileMode::kAuto;
-};
-
-/// How a ProfileMode request resolved — kept so `simtomp_info` and CI
-/// logs can show where the mode came from (mirrors CheckResolution).
+/// The profile row resolved on its own (explicit > SIMTOMP_PROF > off).
+/// An invalid SIMTOMP_PROF fails a launch; here it yields the built-in
+/// off.
 struct ProfileResolution {
-  ProfileMode effective = ProfileMode::kOff;  ///< never kAuto
-  const char* source = "default";  ///< "explicit" | "SIMTOMP_PROF" | "default"
-  std::string envValue;            ///< raw env text when consulted
+  ProfileMode effective = ProfileMode::kOff;
 };
-
-/// Resolve `requested` against the SIMTOMP_PROF environment variable.
-/// An explicit (non-auto) request always wins; kAuto consults the env
-/// var afresh on every call: "1"/"on" -> on, anything else -> off.
-[[nodiscard]] ProfileResolution resolveProfileMode(ProfileMode requested);
+inline ProfileResolution resolveProfileMode(ProfileMode requested) {
+  policy::ExecPolicy p;
+  p.profile.mode = requested;
+  (void)policy::resolveField(policy::Field::profile, p);
+  return {p.profile.mode};
+}
 
 /// One node of the construct tree. All cycle fields of non-root nodes
 /// are *thread-cycles*: per-(thread, visit) modeled-timeline spans,

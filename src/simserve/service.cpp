@@ -336,7 +336,7 @@ size_t LaunchService::pump() {
     PriorityClass& cls = pick->second;
     Request& leader = requests_[cls.fifo[pick_pos]];
     const size_t device = shardDevice_[leader.shard];
-    // One effective-config resolution (manager defaults, tune cache,
+    // One effective-config resolution (execution policy, tune cache,
     // auto shape) serves the whole batch — the amortization batching
     // exists for.
     const omprt::TargetConfig resolved =

@@ -13,16 +13,6 @@ namespace simtomp::simserve {
 
 namespace {
 
-/// Histogram bucket upper bound: 4^(i+1) (mirrors simprof's registry).
-uint64_t bucketBound(size_t i) { return uint64_t{1} << (2 * (i + 1)); }
-
-size_t bucketFor(uint64_t value) {
-  for (size_t i = 0; i + 1 < LatencyHistogram::kBuckets; ++i) {
-    if (value <= bucketBound(i)) return i;
-  }
-  return LatencyHistogram::kBuckets - 1;
-}
-
 std::string boundText(uint64_t bound) {
   if (bound == std::numeric_limits<uint64_t>::max()) return "inf";
   return std::to_string(bound);
@@ -35,7 +25,7 @@ std::string deadlineText(uint64_t deadline) {
 }  // namespace
 
 void LatencyHistogram::observe(uint64_t value) {
-  ++buckets_[bucketFor(value)];
+  ++buckets_[simprof::MetricsRegistry::bucketFor(value)];
   ++count_;
   sum_ += value;
 }
@@ -48,7 +38,7 @@ uint64_t LatencyHistogram::quantileUpperBound(double q) const {
   for (size_t i = 0; i < kBuckets; ++i) {
     cumulative += buckets_[i];
     if (cumulative >= rank) {
-      return i + 1 < kBuckets ? bucketBound(i)
+      return i + 1 < kBuckets ? simprof::MetricsRegistry::bucketBound(i)
                               : std::numeric_limits<uint64_t>::max();
     }
   }

@@ -61,6 +61,7 @@
 #include <string_view>
 #include <vector>
 
+#include "simprof/metrics.h"
 #include "simprof/recorder.h"
 #include "support/status.h"
 
@@ -77,11 +78,12 @@ inline constexpr uint64_t kNoDeadline =
     std::numeric_limits<uint64_t>::max();
 inline constexpr uint64_t kInheritDeadline = kNoDeadline - 1;
 
-/// Power-of-4 bucket histogram (4^1 .. 4^14, +Inf) mirroring the
-/// simprof registry's layout, with deterministic quantile bounds.
+/// A histogram in the simprof registry's power-of-4 buckets (4^1 ..
+/// 4^14, +Inf), with deterministic quantile bounds.
 class LatencyHistogram {
  public:
-  static constexpr size_t kBuckets = 15;
+  static constexpr size_t kBuckets =
+      simprof::MetricsRegistry::kHistogramBuckets;
 
   void observe(uint64_t value);
 

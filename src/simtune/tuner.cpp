@@ -1,7 +1,6 @@
 #include "simtune/tuner.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
@@ -75,40 +74,8 @@ constexpr uint64_t kFailedTrial = UINT64_MAX;
 
 }  // namespace
 
-std::string_view tuneModeName(TuneMode mode) {
-  switch (mode) {
-    case TuneMode::kAuto: return "auto";
-    case TuneMode::kOff: return "off";
-    case TuneMode::kCache: return "cache";
-    case TuneMode::kTune: return "tune";
-  }
-  return "?";
-}
-
 std::string_view tuneStrategyName(TuneStrategy strategy) {
   return strategy == TuneStrategy::kExhaustive ? "exhaustive" : "hillclimb";
-}
-
-TuneResolution resolveTuneMode(TuneMode requested) {
-  TuneResolution res;
-  if (requested != TuneMode::kAuto) {
-    res.effective = requested;
-    res.source = "explicit";
-    return res;
-  }
-  const char* env = std::getenv("SIMTOMP_TUNE");
-  if (env == nullptr) return res;  // default off
-  res.envValue = env;
-  res.source = "SIMTOMP_TUNE";
-  const std::string_view v = res.envValue;
-  if (v == "1" || v == "on" || v == "cache") {
-    res.effective = TuneMode::kCache;
-  } else if (v == "2" || v == "tune" || v == "trial") {
-    res.effective = TuneMode::kTune;
-  } else {
-    res.effective = TuneMode::kOff;  // "0", "off", or unrecognized
-  }
-  return res;
 }
 
 std::string TuneCandidate::toString() const {

@@ -34,29 +34,25 @@
 
 namespace simtomp::simtune {
 
-/// How a launch wants tuning, mirroring simcheck::CheckMode.
-enum class TuneMode : uint8_t {
-  kAuto = 0,  ///< resolve from the SIMTOMP_TUNE env var (default: off)
-  kOff,       ///< auto fields resolve heuristically; no cache, no trials
-  kCache,     ///< resolve from the tuning cache; miss → heuristics
-  kTune,      ///< resolve from the cache; miss → run a trial search
-};
+/// How a launch wants tuning: the tune row of the execution policy.
+using TuneMode = policy::TuneMode;
 
-[[nodiscard]] std::string_view tuneModeName(TuneMode mode);
+inline std::string_view tuneModeName(TuneMode mode) {
+  return policy::modeName(mode);
+}
 
-/// How a TuneMode request resolved — kept so `simtomp_info --tune` and
-/// CI logs can show where the mode came from.
+/// The tune row resolved on its own (explicit > SIMTOMP_TUNE > off).
+/// An invalid SIMTOMP_TUNE fails a launch; here it yields the built-in
+/// off.
 struct TuneResolution {
-  TuneMode effective = TuneMode::kOff;  ///< never kAuto
-  const char* source = "default";  ///< "explicit" | "SIMTOMP_TUNE" | "default"
-  std::string envValue;            ///< raw env text when consulted
+  TuneMode effective = TuneMode::kOff;
 };
-
-/// Resolve `requested` against the SIMTOMP_TUNE environment variable.
-/// An explicit (non-auto) request always wins; kAuto consults the env
-/// var afresh on every call: "0"/"off" → off, "1"/"on"/"cache" → cache,
-/// "2"/"tune"/"trial" → tune; unset or unrecognized → off.
-[[nodiscard]] TuneResolution resolveTuneMode(TuneMode requested);
+inline TuneResolution resolveTuneMode(TuneMode requested) {
+  policy::ExecPolicy p;
+  p.tune = requested;
+  (void)policy::resolveField(policy::Field::tune, p);
+  return {p.tune};
+}
 
 /// One point of the launch space.
 struct TuneCandidate {

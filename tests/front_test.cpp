@@ -242,10 +242,10 @@ TEST(DirectiveParseTest, FaultClauseCarriesValidatedPlan) {
       "target teams distribute parallel for simd "
       "fault(trap:block=0:step=50:when=simd)");
   ASSERT_TRUE(spec.isOk()) << spec.status().toString();
-  EXPECT_EQ(spec.value().faultSpec, "trap:block=0:step=50:when=simd");
+  EXPECT_EQ(spec.value().fault.spec, "trap:block=0:step=50:when=simd");
   const dsl::LaunchSpec launch =
       spec.value().toLaunchSpec(ArchSpec::testTiny());
-  EXPECT_EQ(launch.faultSpec, "trap:block=0:step=50:when=simd");
+  EXPECT_EQ(launch.fault.spec, "trap:block=0:step=50:when=simd");
   EXPECT_EQ(launch.targetConfig().fault.spec,
             "trap:block=0:step=50:when=simd");
 }
@@ -253,11 +253,11 @@ TEST(DirectiveParseTest, FaultClauseCarriesValidatedPlan) {
 TEST(DirectiveParseTest, FaultClauseOffAndMultiEntry) {
   auto off = parseDirective("target teams fault(off)");
   ASSERT_TRUE(off.isOk());
-  EXPECT_EQ(off.value().faultSpec, "off");
+  EXPECT_EQ(off.value().fault.spec, "off");
   auto multi =
       parseDirective("target teams fault(device_lost_pre:count=1;livelock)");
   ASSERT_TRUE(multi.isOk()) << multi.status().toString();
-  EXPECT_EQ(multi.value().faultSpec, "device_lost_pre:count=1;livelock");
+  EXPECT_EQ(multi.value().fault.spec, "device_lost_pre:count=1;livelock");
 }
 
 TEST(DirectiveParseTest, FaultClauseRejectsBadPlans) {
@@ -286,17 +286,17 @@ TEST(DirectiveParseTest, WatchdogClause) {
 TEST(DirectiveParseTest, ProfileClause) {
   auto on = parseDirective("target teams profile(on)");
   ASSERT_TRUE(on.isOk()) << on.status().toString();
-  EXPECT_EQ(on.value().profileMode, simprof::ProfileMode::kOn);
+  EXPECT_EQ(on.value().profile.mode, simprof::ProfileMode::kOn);
   auto off = parseDirective("target teams profile(off)");
   ASSERT_TRUE(off.isOk());
-  EXPECT_EQ(off.value().profileMode, simprof::ProfileMode::kOff);
+  EXPECT_EQ(off.value().profile.mode, simprof::ProfileMode::kOff);
   auto auto_mode = parseDirective("target teams profile(auto)");
   ASSERT_TRUE(auto_mode.isOk());
-  EXPECT_EQ(auto_mode.value().profileMode, simprof::ProfileMode::kAuto);
+  EXPECT_EQ(auto_mode.value().profile.mode, simprof::ProfileMode::kAuto);
   // Unset defaults to auto (SIMTOMP_PROF decides per launch).
   auto unset = parseDirective("target teams");
   ASSERT_TRUE(unset.isOk());
-  EXPECT_EQ(unset.value().profileMode, simprof::ProfileMode::kAuto);
+  EXPECT_EQ(unset.value().profile.mode, simprof::ProfileMode::kAuto);
   // Lowering carries the mode into the launch config.
   const dsl::LaunchSpec launch = on.value().toLaunchSpec(ArchSpec::testTiny());
   EXPECT_EQ(launch.profile.mode, simprof::ProfileMode::kOn);
@@ -305,8 +305,14 @@ TEST(DirectiveParseTest, ProfileClause) {
 
 TEST(DirectiveParseTest, ProfileClauseRejectsGarbage) {
   EXPECT_FALSE(parseDirective("target teams profile()").isOk());
-  EXPECT_FALSE(parseDirective("target teams profile(loud)").isOk());
-  EXPECT_FALSE(parseDirective("target teams profile(1)").isOk());
+  const auto loud = parseDirective("target teams profile(loud)");
+  ASSERT_FALSE(loud.isOk());
+  // The clause takes SIMTOMP_PROF's spellings, and names them.
+  EXPECT_NE(loud.status().message().find("off|0|on|1"), std::string::npos)
+      << loud.status().toString();
+  auto one = parseDirective("target teams profile(1)");
+  ASSERT_TRUE(one.isOk()) << one.status().toString();
+  EXPECT_EQ(one.value().profile.mode, simprof::ProfileMode::kOn);
 }
 
 TEST(DirectiveEndToEndTest, ParsedSpecDrivesARealLaunch) {

@@ -52,19 +52,25 @@ TEST(ResolveHostWorkersTest, EnvVarUsedWhenAuto) {
   EXPECT_EQ(resolveHostWorkers(0), 5u);
 }
 
-TEST(ResolveHostWorkersTest, GarbageEnvFallsBackToHardware) {
+TEST(ResolveHostWorkersTest, GarbageEnvIsRejected) {
+  // Unset (or empty) is the built-in default, hardware concurrency.
   const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-  {
-    ScopedHostWorkersEnv env("banana");
-    EXPECT_EQ(resolveHostWorkers(0), hw);
-  }
-  {
-    ScopedHostWorkersEnv env("0");
-    EXPECT_EQ(resolveHostWorkers(0), hw);
-  }
   {
     ScopedHostWorkersEnv env(nullptr);
     EXPECT_EQ(resolveHostWorkers(0), hw);
+  }
+  // A value outside 1..65 is no longer mapped to the hardware default:
+  // the launch fails before any block runs.
+  for (const char* bad : {"banana", "0", "-3", "66"}) {
+    ScopedHostWorkersEnv env(bad);
+    Device dev(ArchSpec::testTiny());
+    bool ran = false;
+    const auto stats = dev.launch({2, 32}, [&ran](ThreadCtx&) { ran = true; });
+    ASSERT_FALSE(stats.isOk()) << bad;
+    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(stats.status().message().find("1..65"), std::string::npos)
+        << stats.status().toString();
+    EXPECT_FALSE(ran) << bad;
   }
 }
 

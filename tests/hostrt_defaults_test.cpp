@@ -1,273 +1,208 @@
-// DeviceManager default-plumbing precedence, parameterized over every
-// channel that has the three-level layering:
+// Execution-policy precedence through the DeviceManager, parameterized
+// over every row of the policy table (support/policy.def):
 //
-//   explicit launch config  >  setDefault* on the manager  >  env var
+//   explicit launch field  >  environment variable  >  built-in default
 //
-// The channels (hostWorkers / check / tuner) share one test body; each
-// parameter supplies how to set a value at each level and how to
-// observe which level won, via DeviceManager::effectiveConfig — no
-// kernel is launched.
+// The rows share one test body; each parameter supplies its env value,
+// how to set the field explicitly, and the value expected at each
+// level, observed via DeviceManager::effectiveConfig — no kernel is
+// launched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <thread>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "gpusim/executor.h"
 #include "hostrt/device_manager.h"
 #include "simtune/cache.h"
 #include "simtune/tuner.h"
+#include "support/policy.h"
 
 namespace simtomp::hostrt {
 namespace {
 
 using gpusim::ArchSpec;
 
-constexpr const char* kEnvVars[] = {"SIMTOMP_HOST_WORKERS", "SIMTOMP_CHECK",
-                                    "SIMTOMP_TUNE", "SIMTOMP_TUNE_CACHE",
-                                    "SIMTOMP_PROF"};
-
-struct Channel {
-  const char* name;
-  /// Prepare the base launch config (e.g. mark a field auto).
-  std::function<void(omprt::TargetConfig&)> prepBase;
-  /// Set the channel's env-var level.
-  std::function<void()> setEnv;
-  /// Set the channel's manager-default level.
-  std::function<void(DeviceManager&)> setManager;
-  /// Set the channel's explicit-config level.
+struct Row {
+  policy::Field field;
+  /// The row's env-var level.
+  const char* envValue;
+  /// The row's explicit-field level.
   std::function<void(omprt::TargetConfig&)> setExplicit;
-  /// Observe which level won (a small distinct integer per level).
-  std::function<int(DeviceManager&, const omprt::TargetConfig&)> observe;
-  /// Expected observation with nothing set (evaluated under clean env).
-  std::function<int()> expectDefault;
-  int expectEnv;
-  int expectManager;
-  int expectExplicit;
+  /// Expected observation at each level.
+  std::string expectDefault;
+  std::string expectEnv;
+  std::string expectExplicit;
+  /// Optional: prepare the base config and the environment, and observe
+  /// something other than the field's own value.
+  std::function<void(omprt::TargetConfig&)> prepBase = [](auto&) {};
+  std::function<void()> prepEnv = [] {};
+  std::function<std::string(DeviceManager&, const omprt::TargetConfig&)>
+      observe = nullptr;
 };
 
-// The seeded tuning-cache entries: the env-level cache file answers
-// simdlen 16, the manager-level tuner answers 8, the explicit config
-// pins 4, and the heuristic fallback is 1 — four distinguishable
-// outcomes for one observed field.
+/// Names the row in test output (instead of a dump of its bytes).
+void PrintTo(const Row& row, std::ostream* os) {
+  *os << policy::fieldInfo(row.field).name;
+}
+
+// The tune row observes tuning's effect: the env-level cache file
+// answers simdlen 16, while tuning off leaves the heuristic 1.
 simtune::TuneKey precKey() {
   return simtune::makeTuneKey("prec", ArchSpec::testTiny(),
                               gpusim::CostModel{}, /*tripCount=*/0);
-}
-
-simtune::TunedShape shapeWithSimdlen(uint32_t simdlen) {
-  simtune::TunedShape shape;
-  shape.simdlen = simdlen;
-  return shape;
 }
 
 std::string envCachePath() {
   return ::testing::TempDir() + "hostrt_defaults_tune_cache.json";
 }
 
-Channel hostWorkersChannel() {
-  Channel ch;
-  ch.name = "hostWorkers";
-  ch.prepBase = [](omprt::TargetConfig&) {};
-  ch.setEnv = [] { ::setenv("SIMTOMP_HOST_WORKERS", "3", 1); };
-  ch.setManager = [](DeviceManager& mgr) { mgr.setDefaultHostWorkers(2); };
-  ch.setExplicit = [](omprt::TargetConfig& c) { c.hostWorkers = 5; };
-  ch.observe = [](DeviceManager& mgr, const omprt::TargetConfig& c) {
-    // effectiveConfig leaves 0 (auto) when neither explicit nor manager
-    // level decided; the env level resolves at Device::launch via
-    // resolveHostWorkers, so chain it here the way the launch would.
-    return static_cast<int>(gpusim::resolveHostWorkers(
-        mgr.effectiveConfig(0, c).hostWorkers));
+std::vector<Row> allRows() {
+  const std::string hardware =
+      std::to_string(std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<Row> rows = {
+      {policy::Field::hostWorkers, "3",
+       [](omprt::TargetConfig& c) { c.hostWorkers = 5; }, hardware, "3",
+       "5"},
+      {policy::Field::check, "2",
+       [](omprt::TargetConfig& c) {
+         c.check.mode = simcheck::CheckMode::kReport;
+       },
+       "off", "fatal", "report"},
+      {policy::Field::profile, "1",
+       [](omprt::TargetConfig& c) {
+         c.profile.mode = simprof::ProfileMode::kOff;
+       },
+       "off", "on", "off"},
+      {policy::Field::tune, "1",
+       [](omprt::TargetConfig& c) { c.tune = simtune::TuneMode::kOff; },
+       "simdlen 1", "simdlen 16", "simdlen 1"},
+      {policy::Field::fault, "trap:block=1",
+       [](omprt::TargetConfig& c) { c.fault.spec = "livelock"; }, "off",
+       "trap:block=1", "livelock"},
+      {policy::Field::watchdogSteps, "12345",
+       [](omprt::TargetConfig& c) { c.watchdogSteps = 777; }, "67108864",
+       "12345", "777"},
+      {policy::Field::resilience, "0",
+       [](omprt::TargetConfig& c) {
+         c.resilience = simfault::ResilienceMode::kOn;
+       },
+       "on", "off", "on"},
+      {policy::Field::fastPath, "off",
+       [](omprt::TargetConfig& c) { c.fastPath = omprt::FastPathMode::kOn; },
+       "on", "off", "on"},
   };
-  // With a clean env the auto fallback is hardware concurrency;
-  // evaluate it at stage time rather than hard-coding a machine value.
-  ch.expectDefault = [] {
-    return static_cast<int>(gpusim::resolveHostWorkers(0));
-  };
-  ch.expectEnv = 3;
-  ch.expectManager = 2;
-  ch.expectExplicit = 5;
-  return ch;
-}
-
-Channel checkChannel() {
-  Channel ch;
-  ch.name = "check";
-  ch.prepBase = [](omprt::TargetConfig&) {};
-  ch.setEnv = [] { ::setenv("SIMTOMP_CHECK", "2", 1); };  // fatal
-  ch.setManager = [](DeviceManager& mgr) {
-    simcheck::CheckConfig check;
-    check.mode = simcheck::CheckMode::kReport;
-    mgr.setDefaultCheck(check);
-  };
-  ch.setExplicit = [](omprt::TargetConfig& c) {
-    c.check.mode = simcheck::CheckMode::kOff;
-  };
-  ch.observe = [](DeviceManager& mgr, const omprt::TargetConfig& c) {
-    return static_cast<int>(mgr.effectiveConfig(0, c).check.mode);
-  };
-  ch.expectDefault = [] {
-    return static_cast<int>(simcheck::CheckMode::kOff);
-  };
-  ch.expectEnv = static_cast<int>(simcheck::CheckMode::kFatal);
-  ch.expectManager = static_cast<int>(simcheck::CheckMode::kReport);
-  ch.expectExplicit = static_cast<int>(simcheck::CheckMode::kOff);
-  return ch;
-}
-
-Channel tunerChannel() {
-  Channel ch;
-  ch.name = "tuner";
-  ch.prepBase = [](omprt::TargetConfig& c) {
+  Row& tune = rows[3];
+  tune.prepBase = [](omprt::TargetConfig& c) {
     c.tuneKey = "prec";
-    c.simdlen = 0;  // the one auto field the cache entries decide
+    c.simdlen = 0;  // the one auto field the cache entry decides
   };
-  ch.setEnv = [] {
-    // Cache-mode tuning via env, answering from a cache file: this is
-    // the zero-code-changes SIMTOMP_TUNE=1 path (lazy default tuner).
+  tune.prepEnv = [] {
+    // Cache-mode tuning answering from a cache file: the zero-code-
+    // changes SIMTOMP_TUNE=1 path (lazy default tuner).
     simtune::TuneCache file(envCachePath());
-    file.insert(precKey(), shapeWithSimdlen(16));
+    simtune::TunedShape shape;
+    shape.simdlen = 16;
+    file.insert(precKey(), shape);
     ASSERT_TRUE(file.save().isOk());
-    ::setenv("SIMTOMP_TUNE", "1", 1);
     ::setenv("SIMTOMP_TUNE_CACHE", envCachePath().c_str(), 1);
   };
-  ch.setManager = [](DeviceManager& mgr) {
-    auto cache = std::make_shared<simtune::TuneCache>();
-    cache->insert(precKey(), shapeWithSimdlen(8));
-    mgr.setDefaultTuner(std::make_shared<simtune::Tuner>(std::move(cache)),
-                        simtune::TuneMode::kCache);
+  tune.observe = [](DeviceManager& mgr, const omprt::TargetConfig& c) {
+    return "simdlen " + std::to_string(mgr.effectiveConfig(0, c).simdlen);
   };
-  ch.setExplicit = [](omprt::TargetConfig& c) { c.simdlen = 4; };
-  ch.observe = [](DeviceManager& mgr, const omprt::TargetConfig& c) {
-    return static_cast<int>(mgr.effectiveConfig(0, c).simdlen);
-  };
-  ch.expectDefault = [] { return 1; };  // heuristic: tuning is off
-  ch.expectEnv = 16;
-  ch.expectManager = 8;
-  ch.expectExplicit = 4;
-  return ch;
+  return rows;
 }
 
-Channel profileChannel() {
-  Channel ch;
-  ch.name = "profile";
-  ch.prepBase = [](omprt::TargetConfig&) {};
-  ch.setEnv = [] { ::setenv("SIMTOMP_PROF", "1", 1); };  // on
-  // Only two non-auto modes exist, so the manager pins profiling *off*
-  // against the env's on — each stage still flips the observed value.
-  ch.setManager = [](DeviceManager& mgr) {
-    mgr.setDefaultProfile(simprof::ProfileConfig{simprof::ProfileMode::kOff});
-  };
-  ch.setExplicit = [](omprt::TargetConfig& c) {
-    c.profile.mode = simprof::ProfileMode::kOn;
-  };
-  ch.observe = [](DeviceManager& mgr, const omprt::TargetConfig& c) {
-    return static_cast<int>(mgr.effectiveConfig(0, c).profile.mode);
-  };
-  ch.expectDefault = [] {
-    return static_cast<int>(simprof::ProfileMode::kOff);
-  };
-  ch.expectEnv = static_cast<int>(simprof::ProfileMode::kOn);
-  ch.expectManager = static_cast<int>(simprof::ProfileMode::kOff);
-  ch.expectExplicit = static_cast<int>(simprof::ProfileMode::kOn);
-  return ch;
-}
-
-class DefaultsPrecedenceTest : public ::testing::TestWithParam<Channel> {
+class DefaultsPrecedenceTest : public ::testing::TestWithParam<Row> {
  protected:
   void SetUp() override {
-    for (const char* var : kEnvVars) {
-      const char* old = std::getenv(var);
+    std::vector<std::string> vars = {"SIMTOMP_TUNE_CACHE"};
+    for (const policy::Field field : policy::kFields) {
+      vars.emplace_back(policy::fieldInfo(field).env);
+    }
+    for (const std::string& var : vars) {
+      const char* old = std::getenv(var.c_str());
       saved_.emplace_back(var, old != nullptr ? std::optional<std::string>(old)
                                               : std::nullopt);
-      ::unsetenv(var);
+      ::unsetenv(var.c_str());
     }
   }
   void TearDown() override {
     for (const auto& [var, old] : saved_) {
       if (old.has_value()) {
-        ::setenv(var, old->c_str(), 1);
+        ::setenv(var.c_str(), old->c_str(), 1);
       } else {
-        ::unsetenv(var);
+        ::unsetenv(var.c_str());
       }
     }
-    std::remove(envCachePath().c_str());
+    // Only the tune row writes the file; ctest runs the other rows in
+    // parallel processes, which must not remove it under its feet.
+    if (GetParam().field == policy::Field::tune) {
+      std::remove(envCachePath().c_str());
+    }
+  }
+
+  static std::string observe(const Row& row, const omprt::TargetConfig& c) {
+    DeviceManager mgr({ArchSpec::testTiny()});
+    if (row.observe) return row.observe(mgr, c);
+    return policy::valueText(row.field, mgr.effectiveConfig(0, c));
   }
 
  private:
-  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
+  std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
 };
 
-TEST_P(DefaultsPrecedenceTest, ExplicitBeatsManagerBeatsEnv) {
-  const Channel& ch = GetParam();
+TEST_P(DefaultsPrecedenceTest, ExplicitBeatsEnvBeatsBuiltin) {
+  const Row& row = GetParam();
   omprt::TargetConfig base;
-  ch.prepBase(base);
+  row.prepBase(base);
 
-  // Stage 1: nothing set — the channel's built-in default.
-  {
-    DeviceManager mgr({ArchSpec::testTiny()});
-    EXPECT_EQ(ch.observe(mgr, base), ch.expectDefault()) << "stage: default";
-  }
+  // Stage 1: nothing set — the row's built-in default.
+  EXPECT_EQ(observe(row, base), row.expectDefault) << "stage: built-in";
   // Stage 2: only the env var — env wins.
-  ch.setEnv();
-  {
-    DeviceManager mgr({ArchSpec::testTiny()});
-    EXPECT_EQ(ch.observe(mgr, base), ch.expectEnv) << "stage: env";
-  }
-  // Stage 3: env + manager default — the manager default wins.
-  {
-    DeviceManager mgr({ArchSpec::testTiny()});
-    ch.setManager(mgr);
-    EXPECT_EQ(ch.observe(mgr, base), ch.expectManager) << "stage: manager";
-  }
-  // Stage 4: env + manager + explicit config — explicit wins.
-  {
-    DeviceManager mgr({ArchSpec::testTiny()});
-    ch.setManager(mgr);
-    omprt::TargetConfig config = base;
-    ch.setExplicit(config);
-    EXPECT_EQ(ch.observe(mgr, config), ch.expectExplicit)
-        << "stage: explicit";
-  }
+  row.prepEnv();
+  ::setenv(std::string(policy::fieldInfo(row.field).env).c_str(),
+           row.envValue, 1);
+  EXPECT_EQ(observe(row, base), row.expectEnv) << "stage: env";
+  // Stage 3: env + explicit field — explicit wins.
+  omprt::TargetConfig config = base;
+  row.setExplicit(config);
+  EXPECT_EQ(observe(row, config), row.expectExplicit) << "stage: explicit";
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllChannels, DefaultsPrecedenceTest,
-    ::testing::Values(hostWorkersChannel(), checkChannel(), tunerChannel(),
-                      profileChannel()),
-    [](const ::testing::TestParamInfo<Channel>& param_info) {
-      return std::string(param_info.param.name);
+    AllChannels, DefaultsPrecedenceTest, ::testing::ValuesIn(allRows()),
+    [](const ::testing::TestParamInfo<Row>& param_info) {
+      return std::string(policy::fieldInfo(param_info.param.field).name);
     });
 
-// The setDefault* family is documented safe against concurrent
-// launches (simserve reconfigures the manager it fronts while tenants
-// keep submitting): every default field sits behind a shared_mutex.
-// This test hammers every setter from one thread while another
-// launches; it is part of the TSan suite (hostrt_ matches the stage-2
-// regex in tools/ci.sh), where a missing lock shows up as a reported
-// race rather than a flaky value.
+// The manager's two remaining setters — the tuner and the resilience
+// policy — are documented safe against concurrent launches: both sit
+// behind a shared_mutex. This test hammers them from one thread while
+// another launches through both read paths (a tuned launch with an auto
+// field, under the resilience chain); it is part of the TSan suite
+// (hostrt_ matches the stage-2 regex in tools/ci.sh), where a missing
+// lock shows up as a reported race rather than a flaky value.
 TEST(DefaultsConcurrencyTest, SettersDoNotRaceLaunches) {
   DeviceManager mgr({ArchSpec::testTiny()});
   std::atomic<bool> stop{false};
   std::thread setter([&] {
     uint32_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      mgr.setDefaultHostWorkers(1 + (i % 4));
-      mgr.setDefaultCheck(simcheck::CheckConfig{
-          (i % 2) != 0u ? simcheck::CheckMode::kReport
-                        : simcheck::CheckMode::kOff,
-          16});
-      mgr.setDefaultProfile({});
-      mgr.setDefaultTuner(std::make_shared<simtune::Tuner>(),
-                          simtune::TuneMode::kOff);
-      mgr.setDefaultResilience({}, simfault::ResilienceMode::kOff);
+      mgr.setDefaultTuner(std::make_shared<simtune::Tuner>(
+          std::make_shared<simtune::TuneCache>()));
+      simfault::ResiliencePolicy resilience;
+      resilience.maxRetries = i % 3;
+      mgr.setDefaultResilience(resilience);
       ++i;
     }
   });
@@ -275,8 +210,10 @@ TEST(DefaultsConcurrencyTest, SettersDoNotRaceLaunches) {
   config.teamsMode = omprt::ExecMode::kSPMD;
   config.numTeams = 1;
   config.threadsPerTeam = 64;
-  config.hostWorkers = 0;  // force the default_host_workers_ read path
-  config.check.mode = simcheck::CheckMode::kAuto;  // default_check_ read
+  config.simdlen = 0;  // auto: the tuner read path
+  config.tuneKey = "race";
+  config.tune = simtune::TuneMode::kCache;
+  config.resilience = simfault::ResilienceMode::kOn;  // the policy read path
   config.fault.spec = "off";
   for (int i = 0; i < 50; ++i) {
     const auto stats = mgr.launchOn(0, config, [](omprt::OmpContext&) {});

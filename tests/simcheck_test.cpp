@@ -90,32 +90,37 @@ class ScopedEnv {
 TEST(CheckResolveTest, EnvValuesParsed) {
   {
     ScopedEnv env("SIMTOMP_CHECK", nullptr);
-    const CheckResolution r = resolveCheckMode(CheckMode::kAuto);
-    EXPECT_EQ(r.effective, CheckMode::kOff);
-    EXPECT_STREQ(r.source, "default");
+    EXPECT_EQ(resolveCheckMode(CheckMode::kAuto).effective, CheckMode::kOff);
   }
   {
     ScopedEnv env("SIMTOMP_CHECK", "1");
-    const CheckResolution r = resolveCheckMode(CheckMode::kAuto);
-    EXPECT_EQ(r.effective, CheckMode::kReport);
-    EXPECT_STREQ(r.source, "SIMTOMP_CHECK");
-    EXPECT_EQ(r.envValue, "1");
+    EXPECT_EQ(resolveCheckMode(CheckMode::kAuto).effective,
+              CheckMode::kReport);
   }
   {
     ScopedEnv env("SIMTOMP_CHECK", "fatal");
     EXPECT_EQ(resolveCheckMode(CheckMode::kAuto).effective, CheckMode::kFatal);
   }
   {
+    // A typo no longer turns checking off: the launch is rejected with
+    // the accepted spellings.
     ScopedEnv env("SIMTOMP_CHECK", "bogus");
-    EXPECT_EQ(resolveCheckMode(CheckMode::kAuto).effective, CheckMode::kOff);
+    const Result<policy::ExecPolicy> r = policy::resolve({});
+    ASSERT_FALSE(r.isOk());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("off|0|report|on|1|fatal|2"),
+              std::string::npos)
+        << r.status().toString();
+    Device dev(ArchSpec::testTiny());
+    EXPECT_EQ(dev.launch({1, 32}, [](ThreadCtx&) {}).status().code(),
+              StatusCode::kInvalidArgument);
   }
 }
 
 TEST(CheckResolveTest, ExplicitRequestBeatsEnvironment) {
   ScopedEnv env("SIMTOMP_CHECK", "fatal");
-  const CheckResolution r = resolveCheckMode(CheckMode::kReport);
-  EXPECT_EQ(r.effective, CheckMode::kReport);
-  EXPECT_STREQ(r.source, "explicit");
+  EXPECT_EQ(resolveCheckMode(CheckMode::kReport).effective,
+            CheckMode::kReport);
 }
 
 // ---------------- seeded device-level bugs ----------------
@@ -443,12 +448,11 @@ TEST(SimcheckPlumbingTest, TargetConfigCarriesModeToDevice) {
       << dev.lastCheckReport().toString();
 }
 
+// The default the manager applies to a launch that leaves the mode
+// auto is the environment's (the manager itself holds no mode).
 TEST(SimcheckPlumbingTest, DeviceManagerDefaultAppliesWhenAuto) {
-  ScopedEnv env("SIMTOMP_CHECK", nullptr);  // isolate from CI settings
+  ScopedEnv env("SIMTOMP_CHECK", "report");
   hostrt::DeviceManager manager({ArchSpec::testTiny()});
-  simcheck::CheckConfig check;
-  check.mode = CheckMode::kReport;
-  manager.setDefaultCheck(check);
   omprt::TargetConfig config;
   config.numTeams = 1;
   config.threadsPerTeam = 32;
@@ -456,7 +460,7 @@ TEST(SimcheckPlumbingTest, DeviceManagerDefaultAppliesWhenAuto) {
   ASSERT_TRUE(stats.isOk()) << stats.status().toString();
   EXPECT_EQ(manager.device(0).lastCheckMode(), CheckMode::kReport);
 
-  // An explicit per-launch mode beats the manager default.
+  // An explicit per-launch mode beats the environment.
   config.check.mode = CheckMode::kOff;
   stats = manager.launchOn(0, config, [](omprt::OmpContext&) {});
   ASSERT_TRUE(stats.isOk());

@@ -73,12 +73,12 @@ omprt::TargetConfig simdConfig(const char* faultSpec,
   config.check.mode = simcheck::CheckMode::kOff;
   config.fault.spec = faultSpec;
   config.watchdogSteps = 200000;
+  config.resilience = simfault::ResilienceMode::kOn;
   return config;
 }
 
 TEST(ResilienceTest, TransientFaultRecoversViaRetry) {
   DeviceManager mgr({ArchSpec::testTiny()});
-  mgr.setDefaultResilience({}, simfault::ResilienceMode::kOn);
   MatrixKernel kernel;
   auto stats =
       mgr.launchOn(0, simdConfig("device_lost_pre:count=1"), kernel.region());
@@ -108,7 +108,7 @@ TEST(ResilienceTest, RetryBackoffGrowsAndCaps) {
   policy.backoffCapMs = 5;
   policy.modeFallback = false;
   policy.hostSerial = false;
-  mgr.setDefaultResilience(policy, simfault::ResilienceMode::kOn);
+  mgr.setDefaultResilience(policy);
   MatrixKernel kernel;
   // Fires on every attempt: the chain exhausts its retries.
   auto stats =
@@ -127,7 +127,6 @@ TEST(ResilienceTest, RetryBackoffGrowsAndCaps) {
 
 TEST(ResilienceTest, SimdFaultRecoversViaModeFallback) {
   DeviceManager mgr({ArchSpec::testTiny()});
-  mgr.setDefaultResilience({}, simfault::ResilienceMode::kOn);
   MatrixKernel kernel;
   auto stats = mgr.launchOn(
       0, simdConfig("sharing_exhausted:block=0:count=0:when=simd"),
@@ -147,7 +146,6 @@ TEST(ResilienceTest, SimdFaultRecoversViaModeFallback) {
 
 TEST(ResilienceTest, PersistentFaultRecoversViaHostSerial) {
   DeviceManager mgr({ArchSpec::testTiny()});
-  mgr.setDefaultResilience({}, simfault::ResilienceMode::kOn);
   MatrixKernel kernel;
   auto stats = mgr.launchOn(0, simdConfig("livelock:block=0:count=0"),
                             kernel.region());
@@ -169,7 +167,7 @@ TEST(ResilienceTest, UnrecoveredFaultLeavesDeviceFaulted) {
   DeviceManager mgr({ArchSpec::testTiny()});
   simfault::ResiliencePolicy policy;
   policy.hostSerial = false;
-  mgr.setDefaultResilience(policy, simfault::ResilienceMode::kOn);
+  mgr.setDefaultResilience(policy);
   MatrixKernel kernel;
   auto stats = mgr.launchOn(0, simdConfig("barrier_corrupt:block=0:count=0"),
                             kernel.region());
@@ -184,10 +182,10 @@ TEST(ResilienceTest, UnrecoveredFaultLeavesDeviceFaulted) {
 
 TEST(ResilienceTest, ModeOffSurfacesFailuresDirectly) {
   DeviceManager mgr({ArchSpec::testTiny()});
-  mgr.setDefaultResilience({}, simfault::ResilienceMode::kOff);
   MatrixKernel kernel;
-  auto stats =
-      mgr.launchOn(0, simdConfig("device_lost_pre:count=1"), kernel.region());
+  omprt::TargetConfig config = simdConfig("device_lost_pre:count=1");
+  config.resilience = simfault::ResilienceMode::kOff;
+  auto stats = mgr.launchOn(0, config, kernel.region());
   ASSERT_FALSE(stats.isOk());
   EXPECT_EQ(stats.status().code(), StatusCode::kUnavailable);
   // No chain ran: the report is the empty default.
@@ -197,7 +195,6 @@ TEST(ResilienceTest, ModeOffSurfacesFailuresDirectly) {
 TEST(ResilienceTest, ReportByteIdenticalAcrossRerunsAndWorkers) {
   const auto run = [](uint32_t workers) {
     DeviceManager mgr({ArchSpec::testTiny()});
-    mgr.setDefaultResilience({}, simfault::ResilienceMode::kOn);
     MatrixKernel kernel;
     (void)mgr.launchOn(0, simdConfig("livelock:block=0:count=0", workers),
                        kernel.region());
@@ -211,7 +208,6 @@ TEST(ResilienceTest, ReportByteIdenticalAcrossRerunsAndWorkers) {
 
 TEST(ResilienceTest, ReportsSurviveResetAndFailedLaunch) {
   DeviceManager mgr({ArchSpec::testTiny()});
-  mgr.setDefaultResilience({}, simfault::ResilienceMode::kOn);
   MatrixKernel kernel;
   ASSERT_TRUE(
       mgr.launchOn(0, simdConfig("device_lost_pre:count=1"), kernel.region())
@@ -229,7 +225,7 @@ TEST(ResilienceTest, ReportsSurviveResetAndFailedLaunch) {
   strict.maxRetries = 0;
   strict.modeFallback = false;
   strict.hostSerial = false;
-  mgr.setDefaultResilience(strict, simfault::ResilienceMode::kOn);
+  mgr.setDefaultResilience(strict);
   ASSERT_FALSE(
       mgr.launchOn(0, simdConfig("trap:block=0:step=5:count=0"),
                    kernel.region())

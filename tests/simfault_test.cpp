@@ -116,14 +116,12 @@ TEST(FaultResolveTest, ExplicitWinsOverEnvironment) {
   ScopedEnv env("SIMTOMP_FAULT", "trap");
   const FaultResolution r = resolveFaultSpec("livelock");
   EXPECT_EQ(r.spec, "livelock");
-  EXPECT_STREQ(r.source, "explicit");
 }
 
 TEST(FaultResolveTest, ExplicitOffSuppressesEnvironment) {
   ScopedEnv env("SIMTOMP_FAULT", "trap");
   const FaultResolution r = resolveFaultSpec("off");
   EXPECT_TRUE(r.spec.empty());
-  EXPECT_STREQ(r.source, "explicit");
 }
 
 TEST(FaultResolveTest, EmptyRequestReadsEnvironment) {
@@ -131,13 +129,11 @@ TEST(FaultResolveTest, EmptyRequestReadsEnvironment) {
     ScopedEnv env("SIMTOMP_FAULT", "trap:block=1");
     const FaultResolution r = resolveFaultSpec("");
     EXPECT_EQ(r.spec, "trap:block=1");
-    EXPECT_STREQ(r.source, "SIMTOMP_FAULT");
   }
   {
     ScopedEnv env("SIMTOMP_FAULT", nullptr);
     const FaultResolution r = resolveFaultSpec("");
     EXPECT_TRUE(r.spec.empty());
-    EXPECT_STREQ(r.source, "default");
   }
 }
 
@@ -146,13 +142,11 @@ TEST(WatchdogResolveTest, EnvAndExplicitPrecedence) {
     ScopedEnv env("SIMTOMP_WATCHDOG", nullptr);
     const WatchdogResolution r = resolveWatchdogSteps(0);
     EXPECT_EQ(r.steps, kDefaultWatchdogSteps);
-    EXPECT_STREQ(r.source, "default");
   }
   {
     ScopedEnv env("SIMTOMP_WATCHDOG", "12345");
     const WatchdogResolution r = resolveWatchdogSteps(0);
     EXPECT_EQ(r.steps, 12345u);
-    EXPECT_STREQ(r.source, "SIMTOMP_WATCHDOG");
   }
   {
     ScopedEnv env("SIMTOMP_WATCHDOG", "off");
@@ -163,7 +157,6 @@ TEST(WatchdogResolveTest, EnvAndExplicitPrecedence) {
     // Explicit budget beats the env.
     const WatchdogResolution r = resolveWatchdogSteps(777);
     EXPECT_EQ(r.steps, 777u);
-    EXPECT_STREQ(r.source, "explicit");
   }
   EXPECT_EQ(resolveWatchdogSteps(kWatchdogOff).steps, 0u);
 }
@@ -172,14 +165,13 @@ TEST(WatchdogResolveTest, EnvAndExplicitPrecedence) {
 
 TEST(InjectorTest, CountBoundsAttemptsAndAdvances) {
   Injector injector;
-  FaultConfig config;
-  config.spec = "device_lost_pre:count=1";
-  auto first = injector.arm(config, 4);
+  const char* plan = "device_lost_pre:count=1";
+  auto first = injector.arm(plan, false, 4);
   ASSERT_TRUE(first.isOk());
   EXPECT_TRUE(first.value().lostPre);
   // Consumed: the second attempt arms nothing (this is what makes the
   // fault transient — the retry heals).
-  auto second = injector.arm(config, 4);
+  auto second = injector.arm(plan, false, 4);
   ASSERT_TRUE(second.isOk());
   EXPECT_FALSE(second.value().lostPre);
   EXPECT_EQ(injector.launchCount(), 2u);
@@ -187,10 +179,8 @@ TEST(InjectorTest, CountBoundsAttemptsAndAdvances) {
 
 TEST(InjectorTest, CountZeroFiresEveryAttempt) {
   Injector injector;
-  FaultConfig config;
-  config.spec = "trap:block=0:count=0";
   for (int i = 0; i < 3; ++i) {
-    auto arm = injector.arm(config, 1);
+    auto arm = injector.arm("trap:block=0:count=0", false, 1);
     ASSERT_TRUE(arm.isOk());
     const BlockFaultArm* block = arm.value().forBlock(0);
     ASSERT_NE(block, nullptr);
@@ -200,11 +190,10 @@ TEST(InjectorTest, CountZeroFiresEveryAttempt) {
 
 TEST(InjectorTest, AfterLaunchSkipsEarlyAttempts) {
   Injector injector;
-  FaultConfig config;
-  config.spec = "device_lost_post:after=2";
-  auto a = injector.arm(config, 1);
-  auto b = injector.arm(config, 1);
-  auto c = injector.arm(config, 1);
+  const char* plan = "device_lost_post:after=2";
+  auto a = injector.arm(plan, false, 1);
+  auto b = injector.arm(plan, false, 1);
+  auto c = injector.arm(plan, false, 1);
   ASSERT_TRUE(a.isOk() && b.isOk() && c.isOk());
   EXPECT_FALSE(a.value().lostPost);
   EXPECT_FALSE(b.value().lostPost);
@@ -213,14 +202,11 @@ TEST(InjectorTest, AfterLaunchSkipsEarlyAttempts) {
 
 TEST(InjectorTest, WhenSimdRequiresSimdActive) {
   Injector injector;
-  FaultConfig config;
-  config.spec = "trap:block=0:when=simd";
-  config.simdActive = false;
-  auto off = injector.arm(config, 1);
+  const char* plan = "trap:block=0:when=simd";
+  auto off = injector.arm(plan, /*simdActive=*/false, 1);
   ASSERT_TRUE(off.isOk());
   EXPECT_EQ(off.value().forBlock(0), nullptr);
-  config.simdActive = true;
-  auto on = injector.arm(config, 1);
+  auto on = injector.arm(plan, /*simdActive=*/true, 1);
   ASSERT_TRUE(on.isOk());
   ASSERT_NE(on.value().forBlock(0), nullptr);
   EXPECT_TRUE(on.value().forBlock(0)->trap);
@@ -228,18 +214,14 @@ TEST(InjectorTest, WhenSimdRequiresSimdActive) {
 
 TEST(InjectorTest, OutOfRangeBlockArmsNothing) {
   Injector injector;
-  FaultConfig config;
-  config.spec = "trap:block=9";
-  auto arm = injector.arm(config, 2);
+  auto arm = injector.arm("trap:block=9", false, 2);
   ASSERT_TRUE(arm.isOk());
   EXPECT_FALSE(arm.value().anything());
 }
 
 TEST(InjectorTest, BadPlanIsInvalidArgument) {
   Injector injector;
-  FaultConfig config;
-  config.spec = "explode";
-  EXPECT_EQ(injector.arm(config, 1).status().code(),
+  EXPECT_EQ(injector.arm("explode", false, 1).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -54,7 +54,6 @@ TEST_F(ProfileEnvTest, ExplicitModeAlwaysWins) {
   ::setenv("SIMTOMP_PROF", "1", 1);
   EXPECT_EQ(resolveProfileMode(ProfileMode::kOff).effective,
             ProfileMode::kOff);
-  EXPECT_STREQ(resolveProfileMode(ProfileMode::kOff).source, "explicit");
   ::setenv("SIMTOMP_PROF", "0", 1);
   EXPECT_EQ(resolveProfileMode(ProfileMode::kOn).effective, ProfileMode::kOn);
 }
@@ -65,13 +64,18 @@ TEST_F(ProfileEnvTest, AutoConsultsEnv) {
   ::setenv("SIMTOMP_PROF", "1", 1);
   EXPECT_EQ(resolveProfileMode(ProfileMode::kAuto).effective,
             ProfileMode::kOn);
-  EXPECT_STREQ(resolveProfileMode(ProfileMode::kAuto).source, "SIMTOMP_PROF");
   ::setenv("SIMTOMP_PROF", "on", 1);
   EXPECT_EQ(resolveProfileMode(ProfileMode::kAuto).effective,
             ProfileMode::kOn);
+  // A typo no longer turns profiling off: launches reject it, naming
+  // the accepted spellings.
   ::setenv("SIMTOMP_PROF", "garbage", 1);
-  EXPECT_EQ(resolveProfileMode(ProfileMode::kAuto).effective,
-            ProfileMode::kOff);
+  const Result<policy::ExecPolicy> r = policy::resolve({});
+  ASSERT_FALSE(r.isOk());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("SIMTOMP_PROF"), std::string::npos);
+  EXPECT_NE(r.status().message().find("off|0|on|1"), std::string::npos)
+      << r.status().toString();
 }
 
 // ---------------- ThreadProfile tree semantics ----------------
@@ -213,7 +217,7 @@ gpusim::KernelStats launchProfiled(gpusim::Device& dev, ProfileMode mode,
   spec.parallelMode = omprt::ExecMode::kSPMD;
   spec.simdlen = 8;
   spec.hostWorkers = host_workers;
-  spec.faultSpec = "off";
+  spec.fault.spec = "off";
   spec.profile.mode = mode;
   auto stats = dsl::targetTeamsDistributeParallelFor(
       dev, spec, 1024, [](dsl::OmpContext& ctx, uint64_t) {

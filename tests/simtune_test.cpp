@@ -197,27 +197,32 @@ TEST_F(TuneModeEnvTest, AutoConsultsEnv) {
   EXPECT_EQ(resolveTuneMode(TuneMode::kAuto).effective, TuneMode::kOff);
   for (const char* v : {"1", "on", "cache"}) {
     ::setenv("SIMTOMP_TUNE", v, 1);
-    const TuneResolution r = resolveTuneMode(TuneMode::kAuto);
-    EXPECT_EQ(r.effective, TuneMode::kCache) << v;
-    EXPECT_STREQ(r.source, "SIMTOMP_TUNE");
+    EXPECT_EQ(resolveTuneMode(TuneMode::kAuto).effective, TuneMode::kCache)
+        << v;
   }
   for (const char* v : {"2", "tune", "trial"}) {
     ::setenv("SIMTOMP_TUNE", v, 1);
     EXPECT_EQ(resolveTuneMode(TuneMode::kAuto).effective, TuneMode::kTune)
         << v;
   }
-  for (const char* v : {"0", "off", "bogus"}) {
+  for (const char* v : {"0", "off"}) {
     ::setenv("SIMTOMP_TUNE", v, 1);
     EXPECT_EQ(resolveTuneMode(TuneMode::kAuto).effective, TuneMode::kOff)
         << v;
   }
+  // A typo no longer turns tuning off: launches reject it.
+  ::setenv("SIMTOMP_TUNE", "bogus", 1);
+  const Result<policy::ExecPolicy> r = policy::resolve({});
+  ASSERT_FALSE(r.isOk());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("off|0|cache|on|1|tune|trial|2"),
+            std::string::npos)
+      << r.status().toString();
 }
 
 TEST_F(TuneModeEnvTest, ExplicitRequestIgnoresEnv) {
   ::setenv("SIMTOMP_TUNE", "2", 1);
-  const TuneResolution r = resolveTuneMode(TuneMode::kOff);
-  EXPECT_EQ(r.effective, TuneMode::kOff);
-  EXPECT_STREQ(r.source, "explicit");
+  EXPECT_EQ(resolveTuneMode(TuneMode::kOff).effective, TuneMode::kOff);
 }
 
 // ---------------- Searching the corpus ----------------
@@ -437,9 +442,10 @@ TEST(DeviceManagerTuningTest, SyncLaunchTunesThenHitsCache) {
   hostrt::DeviceManager mgr({ArchSpec::testTiny()});
   auto cache = std::make_shared<TuneCache>();
   auto tuner = std::make_shared<Tuner>(cache);
-  mgr.setDefaultTuner(tuner, TuneMode::kTune);
+  mgr.setDefaultTuner(tuner);
 
   omprt::TargetConfig config;
+  config.tune = TuneMode::kTune;
   config.tuneKey = "e2e";
   config.numTeams = 2;
   config.threadsPerTeam = 0;  // auto: let the tuner decide
@@ -471,9 +477,10 @@ TEST(DeviceManagerTuningTest, SyncLaunchTunesThenHitsCache) {
 TEST(DeviceManagerTuningTest, AsyncLaunchNeverRunsTrials) {
   hostrt::DeviceManager mgr({ArchSpec::testTiny()});
   auto tuner = std::make_shared<Tuner>(std::make_shared<TuneCache>());
-  mgr.setDefaultTuner(tuner, TuneMode::kTune);
+  mgr.setDefaultTuner(tuner);
 
   omprt::TargetConfig config;
+  config.tune = TuneMode::kTune;
   config.tuneKey = "e2e_async";
   config.numTeams = 1;
   config.threadsPerTeam = 0;

@@ -70,6 +70,11 @@
 #          recorder; the serve_observability_overhead bench then
 #          asserts tracing never perturbs the modeled stats dump or
 #          replay report and emits BENCH_serve_observability.json.
+# Stage 13: benchmark self-test; perfbench/ compiles against src/, so
+#          `perfbench/run.py --selftest` builds it and runs its C++
+#          self-tests, a planted failure and the BENCHMARK.json catalog
+#          check -- a src/ API change that breaks the benchmark fails
+#          CI here.
 #
 # Usage: tools/ci.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
@@ -479,5 +484,8 @@ print(f"{bench['trace_events']} trace events "
       f"host overhead x{bench['host_overhead']:.3f} (informational)")
 EOF
 echo "observability zero-perturbation guard passed"
+
+echo "=== stage 13: benchmark self-test ==="
+python3 perfbench/run.py --selftest
 
 echo "=== ci.sh: all stages passed ==="

@@ -68,7 +68,7 @@ constexpr uint64_t kTrip = 192;  // 24 tiles of 8, split over 2 teams
 int runCell(const FaultCase& fault, const PolicyCase& policy,
             uint32_t workers) {
   hostrt::DeviceManager mgr({gpusim::ArchSpec::testTiny()});
-  mgr.setDefaultResilience(policy.policy, simfault::ResilienceMode::kOn);
+  mgr.setDefaultResilience(policy.policy);
 
   std::vector<uint64_t> out(kTrip, 0);
 
@@ -80,6 +80,7 @@ int runCell(const FaultCase& fault, const PolicyCase& policy,
   config.simdlen = 4;
   config.hostWorkers = workers;
   config.check.mode = simcheck::CheckMode::kOff;
+  config.resilience = simfault::ResilienceMode::kOn;
   config.fault.spec = fault.spec;
   // Small enough that a livelock dies quickly, far above what any
   // healthy attempt of this kernel needs.

@@ -7,16 +7,15 @@
 //                                       2,048-byte sharing space)
 //   simtomp_info groups T             — legal SIMD group configurations
 //                                       for a team of T worker threads
-//   simtomp_info --check              — how simcheck (the correctness
-//                                       sanitizer) would resolve for a
-//                                       launch in this environment
-//   simtomp_info --tune               — how simtune (the autotuner)
-//                                       would resolve: tune mode, cache
-//                                       path, entry count, and hit/miss
-//                                       per demo kernel
-//   simtomp_info --prof               — how simprof (the profiler)
-//                                       would resolve for a launch in
-//                                       this environment
+//   simtomp_info --policy             — the execution policy a launch
+//                                       that sets no field resolves to
+//                                       in this environment, row by
+//                                       row with its source and the
+//                                       accepted spellings; exit 1 when
+//                                       a SIMTOMP_* value is invalid
+//   simtomp_info --tune               — the simtune cache: path, entry
+//                                       count, and hit/miss per demo
+//                                       kernel
 //   simtomp_info --counters           — the per-launch event counters
 //                                       (KernelStats) with descriptions
 //   simtomp_info --metrics            — the process-wide metrics
@@ -26,10 +25,11 @@
 //                                       (the same two formats the
 //                                       SIMTOMP_METRICS exit dump
 //                                       writes)
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 
 #include "apps/tunable.h"
 #include "gpusim/arch.h"
@@ -37,11 +37,10 @@
 #include "gpusim/occupancy.h"
 #include "gpusim/stats.h"
 #include "omprt/target.h"
-#include "simcheck/report.h"
 #include "simprof/metrics.h"
-#include "simprof/profile.h"
 #include "simtune/cache.h"
 #include "simtune/tuner.h"
+#include "support/policy.h"
 
 using namespace simtomp;
 
@@ -99,57 +98,35 @@ void groupTable(uint32_t threads) {
   }
 }
 
-void checkInfo() {
-  const char* env = std::getenv("SIMTOMP_CHECK");
-  std::printf("simcheck resolution for this environment:\n");
-  std::printf("  SIMTOMP_CHECK            = %s\n",
-              env != nullptr ? env : "(unset)");
-  // A launch that leaves CheckConfig at its default (auto) consults
-  // the environment; an explicit mode on the LaunchConfig always wins.
-  const simcheck::CheckResolution auto_mode =
-      simcheck::resolveCheckMode(simcheck::CheckMode::kAuto);
-  std::printf("  default  %-6s launches  -> %-6s  [from %s]\n", "(auto)",
-              std::string(simcheck::checkModeName(auto_mode.effective))
-                  .c_str(),
-              auto_mode.source);
-  for (const simcheck::CheckMode mode :
-       {simcheck::CheckMode::kOff, simcheck::CheckMode::kReport,
-        simcheck::CheckMode::kFatal}) {
-    const simcheck::CheckResolution r = simcheck::resolveCheckMode(mode);
-    std::printf("  explicit %-6s launches  -> %-6s  [from %s]\n",
-                std::string(simcheck::checkModeName(mode)).c_str(),
-                std::string(simcheck::checkModeName(r.effective)).c_str(),
-                r.source);
+/// Every execution-policy row as a launch that sets no field would
+/// resolve it here; 1 when an environment value is invalid.
+int policyInfo() {
+  std::printf("execution policy (explicit > env > built-in):\n");
+  std::printf("  %-15s %-21s %-9s %-9s %s\n", "field", "env", "value",
+              "source", "accepted");
+  int exit_code = 0;
+  policy::ExecPolicy unset;
+  for (const policy::Field field : policy::kFields) {
+    const policy::FieldInfo& info = policy::fieldInfo(field);
+    const Result<policy::Source> source = policy::resolveField(field, unset);
+    std::printf("  %-15s %-21s %-9s %-9s %s\n",
+                std::string(info.member).c_str(),
+                std::string(info.env).c_str(),
+                source.isOk() ? policy::valueText(field, unset).c_str()
+                              : "INVALID",
+                source.isOk()
+                    ? std::string(policy::sourceName(source.value())).c_str()
+                    : "env",
+                info.spellings.c_str());
+    if (!source.isOk()) {
+      std::fprintf(stderr, "%s\n", source.status().toString().c_str());
+      exit_code = 1;
+    }
   }
-  std::printf(
-      "accepted SIMTOMP_CHECK values: 0/off, 1/on/report, 2/fatal\n");
+  return exit_code;
 }
 
 void tuneInfo() {
-  const char* env = std::getenv("SIMTOMP_TUNE");
-  const char* cache_env = std::getenv("SIMTOMP_TUNE_CACHE");
-  std::printf("simtune resolution for this environment:\n");
-  std::printf("  SIMTOMP_TUNE             = %s\n",
-              env != nullptr ? env : "(unset)");
-  std::printf("  SIMTOMP_TUNE_CACHE       = %s\n",
-              cache_env != nullptr ? cache_env : "(unset)");
-  const simtune::TuneResolution auto_mode =
-      simtune::resolveTuneMode(simtune::TuneMode::kAuto);
-  std::printf("  default  %-6s launches  -> %-6s  [from %s]\n", "(auto)",
-              std::string(simtune::tuneModeName(auto_mode.effective)).c_str(),
-              auto_mode.source);
-  for (const simtune::TuneMode mode :
-       {simtune::TuneMode::kOff, simtune::TuneMode::kCache,
-        simtune::TuneMode::kTune}) {
-    const simtune::TuneResolution r = simtune::resolveTuneMode(mode);
-    std::printf("  explicit %-6s launches  -> %-6s  [from %s]\n",
-                std::string(simtune::tuneModeName(mode)).c_str(),
-                std::string(simtune::tuneModeName(r.effective)).c_str(),
-                r.source);
-  }
-  std::printf(
-      "accepted SIMTOMP_TUNE values: 0/off, 1/on/cache, 2/tune/trial\n");
-
   simtune::TuneCache cache(simtune::resolveCachePath(""));
   if (cache.persistent()) {
     const Status loaded = cache.load();
@@ -180,30 +157,6 @@ void tuneInfo() {
   }
 }
 
-void profInfo() {
-  const char* env = std::getenv("SIMTOMP_PROF");
-  std::printf("simprof resolution for this environment:\n");
-  std::printf("  SIMTOMP_PROF             = %s\n",
-              env != nullptr ? env : "(unset)");
-  const simprof::ProfileResolution auto_mode =
-      simprof::resolveProfileMode(simprof::ProfileMode::kAuto);
-  std::printf("  default  %-6s launches  -> %-6s  [from %s]\n", "(auto)",
-              std::string(simprof::profileModeName(auto_mode.effective))
-                  .c_str(),
-              auto_mode.source);
-  for (const simprof::ProfileMode mode :
-       {simprof::ProfileMode::kOff, simprof::ProfileMode::kOn}) {
-    const simprof::ProfileResolution r = simprof::resolveProfileMode(mode);
-    std::printf("  explicit %-6s launches  -> %-6s  [from %s]\n",
-                std::string(simprof::profileModeName(mode)).c_str(),
-                std::string(simprof::profileModeName(r.effective)).c_str(),
-                r.source);
-  }
-  std::printf("accepted SIMTOMP_PROF values: 0/off, 1/on\n");
-  std::printf(
-      "SIMTOMP_METRICS=<path> dumps the metrics registry at exit\n");
-}
-
 // The next two render straight from the authoritative tables
 // (gpusim::counterName/counterDescription and simprof::allMetricDefs),
 // so this listing cannot drift from what the runtime records.
@@ -228,6 +181,23 @@ void metricTable() {
   }
 }
 
+/// A whole-argument decimal in [lo, UINT32_MAX], else nothing.
+std::optional<uint32_t> parseCount(const char* arg, uint32_t lo) {
+  const char* end = arg + std::strlen(arg);
+  uint32_t value = 0;
+  const auto [ptr, ec] = std::from_chars(arg, end, value);
+  if (ec != std::errc() || ptr != end || value < lo) return std::nullopt;
+  return value;
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: simtomp_info [occupancy <threads> [sharedBytes] | "
+               "groups <threads> | --policy | --tune | --counters | "
+               "--metrics | --metrics=prom | --metrics=json]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -236,30 +206,27 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (std::strcmp(argv[1], "occupancy") == 0 && argc >= 3) {
-    const auto threads = static_cast<uint32_t>(std::atoi(argv[2]));
-    const uint32_t shared_bytes =
-        argc >= 4 ? static_cast<uint32_t>(std::atoi(argv[3]))
+    const std::optional<uint32_t> threads = parseCount(argv[2], 1);
+    const std::optional<uint32_t> shared_bytes =
+        argc >= 4 ? parseCount(argv[3], 0)
                   : omprt::kDefaultSharingSpaceBytes;
-    occupancyTable(threads, shared_bytes);
+    if (!threads || !shared_bytes) return usage();
+    occupancyTable(*threads, *shared_bytes);
     return 0;
   }
   if (std::strcmp(argv[1], "groups") == 0 && argc >= 3) {
-    groupTable(static_cast<uint32_t>(std::atoi(argv[2])));
+    const std::optional<uint32_t> threads = parseCount(argv[2], 1);
+    if (!threads) return usage();
+    groupTable(*threads);
     return 0;
   }
-  if (std::strcmp(argv[1], "--check") == 0 ||
-      std::strcmp(argv[1], "check") == 0) {
-    checkInfo();
-    return 0;
+  if (std::strcmp(argv[1], "--policy") == 0 ||
+      std::strcmp(argv[1], "policy") == 0) {
+    return policyInfo();
   }
   if (std::strcmp(argv[1], "--tune") == 0 ||
       std::strcmp(argv[1], "tune") == 0) {
     tuneInfo();
-    return 0;
-  }
-  if (std::strcmp(argv[1], "--prof") == 0 ||
-      std::strcmp(argv[1], "prof") == 0) {
-    profInfo();
     return 0;
   }
   if (std::strcmp(argv[1], "--counters") == 0 ||
@@ -282,9 +249,5 @@ int main(int argc, char** argv) {
     simprof::MetricsRegistry::global().writeJson(std::cout);
     return 0;
   }
-  std::fprintf(stderr,
-               "usage: simtomp_info [occupancy <threads> [sharedBytes] | "
-               "groups <threads> | --check | --tune | --prof | --counters | "
-               "--metrics | --metrics=prom | --metrics=json]\n");
-  return 2;
+  return usage();
 }

@@ -6,8 +6,8 @@
 //   kernels: spmv | su3 | ideal | laplace3d | transpose | interpol | gemm
 //
 // Runs the kernel exactly like simtomp_run, but with simprof enabled
-// (the tool sets SIMTOMP_PROF=1, so the app adapter's internal launch
-// resolves profiling on), then renders the construct tree:
+// (unless the directive says profile(off)), then renders the construct
+// tree:
 //
 //   default    nvprof-style per-construct table — inclusive/exclusive
 //              thread-cycles, visits, SIMD lane efficiency
@@ -26,18 +26,12 @@
 // Exit codes 0-7 match simtomp_run (see docs/FAULTS.md); 8 = profile
 // invariant violated.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 
-#include "apps/batched_gemm.h"
-#include "apps/ideal_kernel.h"
-#include "apps/laplace3d.h"
-#include "apps/muram.h"
-#include "apps/sparse_matvec.h"
-#include "apps/su3.h"
+#include "apps/named.h"
 #include "front/directive.h"
 #include "gpusim/trace.h"
 #include "simprof/metrics.h"
@@ -64,16 +58,6 @@ int usage() {
   return kExitUsage;
 }
 
-bool knownKernel(const std::string& kernel) {
-  static const char* const kKernels[] = {"spmv",      "su3",       "ideal",
-                                         "laplace3d", "transpose", "interpol",
-                                         "gemm"};
-  for (const char* name : kKernels) {
-    if (kernel == name) return true;
-  }
-  return false;
-}
-
 /// Triage a failed launch into its documented exit code (simtomp_run's
 /// scheme, so CI can treat the two tools interchangeably).
 int exitCodeFor(const Status& status) {
@@ -85,79 +69,6 @@ int exitCodeFor(const Status& status) {
     return kExitFaultUnrecovered;
   }
   return kExitLaunchFailure;
-}
-
-apps::SimdMode modeFromSpec(const dsl::LaunchSpec& launch) {
-  if (launch.simdlen <= 1) return apps::SimdMode::kNoSimd;
-  return launch.parallelMode == omprt::ExecMode::kGeneric
-             ? apps::SimdMode::kGenericSimd
-             : apps::SimdMode::kSpmdSimd;
-}
-
-Result<apps::AppRunResult> runKernel(const std::string& kernel,
-                                     gpusim::Device& device,
-                                     const dsl::LaunchSpec& launch) {
-  if (kernel == "spmv") {
-    apps::CsrGenConfig config;
-    config.numRows = 4096;
-    config.meanRowLength = 8;
-    config.maxRowLength = 64;
-    const apps::CsrMatrix A = apps::generateCsr(config);
-    apps::SpmvOptions options;
-    options.variant = launch.simdlen > 1
-                          ? apps::SpmvVariant::kThreeLevelAtomic
-                          : apps::SpmvVariant::kTwoLevel;
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    options.parallelMode = launch.parallelMode;
-    return apps::runSpmv(device, A, options);
-  }
-  if (kernel == "su3") {
-    const apps::Su3Workload w = apps::generateSu3(5120, 3);
-    apps::Su3Options options;
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    return apps::runSu3(device, w, options);
-  }
-  if (kernel == "ideal") {
-    const apps::IdealWorkload w = apps::generateIdeal(432, 32, 5);
-    apps::IdealOptions options;
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    return apps::runIdeal(device, w, options);
-  }
-  if (kernel == "laplace3d") {
-    const apps::Laplace3dWorkload w = apps::generateLaplace3d(34, 34, 258, 9);
-    apps::Laplace3dOptions options;
-    options.mode = modeFromSpec(launch);
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    return apps::runLaplace3d(device, w, options);
-  }
-  if (kernel == "transpose" || kernel == "interpol") {
-    const apps::MuramWorkload w = apps::generateMuram(32, 32, 256, 11);
-    apps::MuramOptions options;
-    options.mode = modeFromSpec(launch);
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    return kernel == "transpose" ? apps::runMuramTranspose(device, w, options)
-                                 : apps::runMuramInterpol(device, w, options);
-  }
-  if (kernel == "gemm") {
-    const apps::BatchedGemmWorkload w = apps::generateBatchedGemm(2048, 4, 7);
-    apps::BatchedGemmOptions options;
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    options.parallelMode = launch.parallelMode;
-    return apps::runBatchedGemm(device, w, options);
-  }
-  return Status::invalidArgument("unknown kernel '" + kernel + "'");
 }
 
 /// Counter-name adapter for the renderer: simprof speaks raw ids, the
@@ -196,7 +107,7 @@ bool writeMetrics(const std::string& path) {
 int main(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string kernel = argv[1];
-  if (!knownKernel(kernel)) return usage();
+  if (!apps::isNamedKernel(kernel)) return usage();
   const std::string directive = argv[2];
 
   bool folded = false;
@@ -224,29 +135,15 @@ int main(int argc, char** argv) {
     return kExitBuildError;
   }
   gpusim::Device device;
-  const dsl::LaunchSpec launch = parsed.value().toLaunchSpec(device.arch());
-  // The app adapters build their launches internally, so profiling (and
-  // any fault/watchdog clauses) reach them through the environment
-  // knobs the launch path consults — unless the directive pinned
-  // profiling off explicitly.
+  dsl::LaunchSpec launch = parsed.value().toLaunchSpec(device.arch());
   if (launch.profile.mode != simprof::ProfileMode::kOff) {
-    setenv("SIMTOMP_PROF", "1", 1);
-  }
-  if (!launch.faultSpec.empty()) {
-    setenv("SIMTOMP_FAULT", launch.faultSpec.c_str(), 1);
-  }
-  if (launch.watchdogSteps != 0) {
-    const std::string steps =
-        launch.watchdogSteps == simfault::kWatchdogOff
-            ? "off"
-            : std::to_string(launch.watchdogSteps);
-    setenv("SIMTOMP_WATCHDOG", steps.c_str(), 1);
+    launch.profile.mode = simprof::ProfileMode::kOn;
   }
 
   gpusim::TraceRecorder recorder;
   if (!trace_path.empty()) device.setTraceRecorder(&recorder);
 
-  auto result = runKernel(kernel, device, launch);
+  auto result = apps::runNamedKernel(kernel, device, launch);
   if (!result.isOk()) {
     std::fprintf(stderr, "run error: %s\n",
                  result.status().toString().c_str());

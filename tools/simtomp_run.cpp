@@ -35,23 +35,17 @@
 // Exit codes (documented for CI triage; see docs/FAULTS.md):
 //   0  success (results verified)
 //   1  verification failure (kernel ran, wrong results)
-//   2  usage error
+//   2  usage error (also an invalid SIMTOMP_* policy value)
 //   3  build error (directive did not parse / tuning setup failed)
 //   4  launch failure (any class not listed below)
 //   5  watchdog timeout (DEADLINE_EXCEEDED)
 //   6  simcheck-fatal (checking failed the launch)
 //   7  fault injected and not recovered
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include "apps/batched_gemm.h"
-#include "apps/ideal_kernel.h"
-#include "apps/laplace3d.h"
-#include "apps/muram.h"
-#include "apps/sparse_matvec.h"
-#include "apps/su3.h"
+#include "apps/named.h"
 #include "apps/tunable.h"
 #include "front/directive.h"
 #include "simtune/tuner.h"
@@ -76,16 +70,6 @@ int usage() {
   return kExitUsage;
 }
 
-bool knownKernel(const std::string& kernel) {
-  static const char* const kKernels[] = {"spmv",      "su3",      "ideal",
-                                         "laplace3d", "transpose", "interpol",
-                                         "gemm"};
-  for (const char* name : kKernels) {
-    if (kernel == name) return true;
-  }
-  return false;
-}
-
 /// Triage a failed launch into its documented exit code. The watchdog
 /// check comes first: its message also carries the [simfault] marker.
 int exitCodeFor(const Status& status) {
@@ -99,79 +83,6 @@ int exitCodeFor(const Status& status) {
   return kExitLaunchFailure;
 }
 
-apps::SimdMode modeFromSpec(const dsl::LaunchSpec& launch) {
-  if (launch.simdlen <= 1) return apps::SimdMode::kNoSimd;
-  return launch.parallelMode == omprt::ExecMode::kGeneric
-             ? apps::SimdMode::kGenericSimd
-             : apps::SimdMode::kSpmdSimd;
-}
-
-Result<apps::AppRunResult> runKernel(const std::string& kernel,
-                                     gpusim::Device& device,
-                                     const dsl::LaunchSpec& launch) {
-  if (kernel == "spmv") {
-    apps::CsrGenConfig config;
-    config.numRows = 4096;
-    config.meanRowLength = 8;
-    config.maxRowLength = 64;
-    const apps::CsrMatrix A = apps::generateCsr(config);
-    apps::SpmvOptions options;
-    options.variant = launch.simdlen > 1
-                          ? apps::SpmvVariant::kThreeLevelAtomic
-                          : apps::SpmvVariant::kTwoLevel;
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    options.parallelMode = launch.parallelMode;
-    return apps::runSpmv(device, A, options);
-  }
-  if (kernel == "su3") {
-    const apps::Su3Workload w = apps::generateSu3(5120, 3);
-    apps::Su3Options options;
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    return apps::runSu3(device, w, options);
-  }
-  if (kernel == "ideal") {
-    const apps::IdealWorkload w = apps::generateIdeal(432, 32, 5);
-    apps::IdealOptions options;
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    return apps::runIdeal(device, w, options);
-  }
-  if (kernel == "laplace3d") {
-    const apps::Laplace3dWorkload w = apps::generateLaplace3d(34, 34, 258, 9);
-    apps::Laplace3dOptions options;
-    options.mode = modeFromSpec(launch);
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    return apps::runLaplace3d(device, w, options);
-  }
-  if (kernel == "transpose" || kernel == "interpol") {
-    const apps::MuramWorkload w = apps::generateMuram(32, 32, 256, 11);
-    apps::MuramOptions options;
-    options.mode = modeFromSpec(launch);
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    return kernel == "transpose" ? apps::runMuramTranspose(device, w, options)
-                                 : apps::runMuramInterpol(device, w, options);
-  }
-  if (kernel == "gemm") {
-    const apps::BatchedGemmWorkload w = apps::generateBatchedGemm(2048, 4, 7);
-    apps::BatchedGemmOptions options;
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    options.parallelMode = launch.parallelMode;
-    return apps::runBatchedGemm(device, w, options);
-  }
-  return Status::invalidArgument("unknown kernel '" + kernel + "'");
-}
-
 /// The corpus adapter matching a CLI kernel name (the muram kernels
 /// share one workload but tune separately).
 const char* corpusNameFor(const std::string& kernel) {
@@ -182,19 +93,17 @@ const char* corpusNameFor(const std::string& kernel) {
 }
 
 /// Resolve the launch's auto fields through simtune when the directive
-/// asked for it (tune(key) or auto clause arguments) and SIMTOMP_TUNE
-/// enables it. Cache-only under SIMTOMP_TUNE=1; SIMTOMP_TUNE=2 runs a
-/// budgeted hill-climb over the app's own trial adapter on a miss and
-/// persists the winner (SIMTOMP_TUNE_CACHE).
+/// asked for it (tune(key) or auto clause arguments) and the launch's
+/// resolved tune field enables it. Cache-only under `cache`; `tune`
+/// runs a budgeted hill-climb over the app's own trial adapter on a
+/// miss and persists the winner (SIMTOMP_TUNE_CACHE).
 Status resolveLaunchTuning(const std::string& kernel, gpusim::Device& device,
                            dsl::LaunchSpec& launch) {
   const bool wants_tuning = !launch.tuneKey.empty() || launch.numTeams == 0 ||
                             launch.threadsPerTeam == 0 || launch.simdlen == 0 ||
                             launch.teamsModeAuto || launch.parallelModeAuto;
   if (!wants_tuning) return Status::ok();
-  const simtune::TuneResolution mode =
-      simtune::resolveTuneMode(simtune::TuneMode::kAuto);
-  if (mode.effective == simtune::TuneMode::kOff) return Status::ok();
+  if (launch.tune == simtune::TuneMode::kOff) return Status::ok();
 
   apps::TunableApp app =
       apps::tunableByName(corpusNameFor(kernel), device.arch(), false);
@@ -204,9 +113,9 @@ Status resolveLaunchTuning(const std::string& kernel, gpusim::Device& device,
 
   simtune::Tuner tuner;
   if (tuner.resolveConfig(device.arch(), device.costModel(), config)) {
-    std::printf("  tuning     : key %s resolved from cache (%s=%s)\n",
-                config.tuneKey.c_str(), mode.source, mode.envValue.c_str());
-  } else if (mode.effective == simtune::TuneMode::kTune) {
+    std::printf("  tuning     : key %s resolved from cache\n",
+                config.tuneKey.c_str());
+  } else if (launch.tune == simtune::TuneMode::kTune) {
     simtune::TuneRequest request;
     request.strategy = simtune::TuneStrategy::kHillClimb;
     request.maxTrials = 64;
@@ -241,7 +150,7 @@ Status resolveLaunchTuning(const std::string& kernel, gpusim::Device& device,
 int main(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string kernel = argv[1];
-  if (!knownKernel(kernel)) return usage();
+  if (!apps::isNamedKernel(kernel)) return usage();
   const std::string directive = argv[2];
   const bool csv = argc >= 4 && std::strcmp(argv[3], "--csv") == 0;
 
@@ -253,26 +162,20 @@ int main(int argc, char** argv) {
   }
   gpusim::Device device;
   dsl::LaunchSpec launch = parsed.value().toLaunchSpec(device.arch());
-  // The app adapters build their launches internally, so the fault and
-  // watchdog clauses reach them through the environment knobs the
-  // launch path already consults.
-  if (!launch.faultSpec.empty()) {
-    setenv("SIMTOMP_FAULT", launch.faultSpec.c_str(), 1);
+  Result<policy::ExecPolicy> resolved = policy::resolve(launch);
+  if (!resolved.isOk()) {
+    std::fprintf(stderr, "policy error: %s\n",
+                 resolved.status().toString().c_str());
+    return kExitUsage;
   }
-  if (launch.watchdogSteps != 0) {
-    const std::string steps =
-        launch.watchdogSteps == simfault::kWatchdogOff
-            ? "off"
-            : std::to_string(launch.watchdogSteps);
-    setenv("SIMTOMP_WATCHDOG", steps.c_str(), 1);
-  }
+  launch.policy() = std::move(resolved).value();
   const Status tuned = resolveLaunchTuning(kernel, device, launch);
   if (!tuned.isOk()) {
     std::fprintf(stderr, "tuning error: %s\n", tuned.toString().c_str());
     return kExitBuildError;
   }
 
-  auto result = runKernel(kernel, device, launch);
+  auto result = apps::runNamedKernel(kernel, device, launch);
   if (!result.isOk()) {
     std::fprintf(stderr, "run error: %s\n",
                  result.status().toString().c_str());
