@@ -75,6 +75,5 @@ int main(int argc, char** argv) {
       "amd no-simd", amd_base,
       {{"amd simd group 32 (degraded)", amd_simd,
         static_cast<double>(amd_base) / static_cast<double>(amd_simd)}});
-  (void)bench::writeBenchJson("abl_amd_fallback");
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("abl_amd_fallback"));
 }

@@ -58,6 +58,5 @@ int main(int argc, char** argv) {
       "if-cascade (known regions)", cascade,
       {{"indirect call (foreign TU)", indirect,
         static_cast<double>(cascade) / static_cast<double>(indirect)}});
-  (void)bench::writeBenchJson("abl_dispatch");
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("abl_dispatch"));
 }

@@ -80,6 +80,5 @@ int main(int argc, char** argv) {
         {{"simd reduction (future work)", reduction,
           static_cast<double>(atomic) / static_cast<double>(reduction)}});
   }
-  (void)bench::writeBenchJson("abl_reduction");
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("abl_reduction"));
 }

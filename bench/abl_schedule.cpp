@@ -89,6 +89,5 @@ int main(int argc, char** argv) {
   }
   bench::printTable("Ablation: worksharing schedule under skewed work",
                     "static cyclic (runtime default)", cyclic, rows);
-  (void)bench::writeBenchJson("abl_schedule");
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("abl_schedule"));
 }

@@ -89,6 +89,5 @@ int main(int argc, char** argv) {
        std::to_string(base.overflows) + " overflows)")
           .c_str(),
       "2048 bytes (paper)", base.cycles, rows);
-  (void)bench::writeBenchJson("abl_sharing_space");
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("abl_sharing_space"));
 }

@@ -64,6 +64,5 @@ int main(int argc, char** argv) {
       "teams SPMD", spmd,
       {{"teams generic", generic,
         static_cast<double>(spmd) / static_cast<double>(generic)}});
-  (void)bench::writeBenchJson("abl_teams_mode");
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("abl_teams_mode"));
 }

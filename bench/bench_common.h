@@ -7,10 +7,12 @@
 // the corresponding figure directly (see EXPERIMENTS.md), and — so the
 // perf trajectory can be tracked across PRs by machines, not eyeballs —
 // every printed series is mirrored into BENCH_<name>.json via
-// writeBenchJson(). Host wall time appears as an extra column/field
-// when a series records it (Row::hostMs), which is how the
-// host-parallel block executor's wall-clock wins are measured without
-// disturbing the cycle numbers.
+// writeBenchJson(). Benches with a JSON shape of their own write it
+// through writeBenchFile(); a failed write fails the binary either way
+// (exitCode()). Host wall time appears as an extra column/field when a
+// series records it (Row::hostMs), which is how the host-parallel block
+// executor's wall-clock wins are measured without disturbing the cycle
+// numbers.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "gpusim/stats.h"
+#include "support/json.h"
 #include "support/status.h"
 
 namespace simtomp::bench {
@@ -47,18 +50,6 @@ struct Series {
 inline std::vector<Series>& seriesLog() {
   static std::vector<Series> log;
   return log;
-}
-
-inline void jsonEscapeTo(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
 }
 
 }  // namespace detail
@@ -89,56 +80,55 @@ inline void printTable(const char* title, const char* baseline_label,
       {title, baseline_label, baseline_cycles, rows});
 }
 
-/// Write every series printed so far to BENCH_<name>.json in the
-/// working directory (label → sim cycles, host wall time, speedup,
-/// modeled-cycles-per-host-second throughput). Call once at the end of
-/// each benchmark binary's main().
-inline Status writeBenchJson(const char* name) {
-  std::string out = "{\n  \"bench\": \"";
-  detail::jsonEscapeTo(out, name);
-  out += "\",\n  \"series\": [\n";
-  const auto& log = detail::seriesLog();
-  char buf[256];
-  for (size_t s = 0; s < log.size(); ++s) {
-    const detail::Series& series = log[s];
-    out += "    {\"title\": \"";
-    detail::jsonEscapeTo(out, series.title);
-    out += "\",\n     \"baseline\": {\"label\": \"";
-    detail::jsonEscapeTo(out, series.baselineLabel);
-    std::snprintf(buf, sizeof(buf), "\", \"sim_cycles\": %llu},\n",
-                  static_cast<unsigned long long>(series.baselineCycles));
-    out += buf;
-    out += "     \"rows\": [\n";
-    for (size_t r = 0; r < series.rows.size(); ++r) {
-      const Row& row = series.rows[r];
-      const double host_s = row.hostMs / 1000.0;
-      const double cycles_per_host_s =
-          host_s > 0.0 ? static_cast<double>(row.cycles) / host_s : 0.0;
-      out += "       {\"label\": \"";
-      detail::jsonEscapeTo(out, row.label);
-      std::snprintf(buf, sizeof(buf),
-                    "\", \"sim_cycles\": %llu, \"speedup\": %.6f, "
-                    "\"host_ms\": %.3f, \"host_s\": %.6f, "
-                    "\"cycles_per_host_s\": %.1f}%s\n",
-                    static_cast<unsigned long long>(row.cycles), row.speedup,
-                    row.hostMs, host_s, cycles_per_host_s,
-                    r + 1 < series.rows.size() ? "," : "");
-      out += buf;
-    }
-    out += "     ]}";
-    out += s + 1 < log.size() ? ",\n" : "\n";
-  }
-  out += "  ]\n}\n";
+/// Write a finished JSON document to BENCH_<name>.json in the working
+/// directory; any open, write or close failure is the returned error.
+inline Status writeBenchFile(const std::string& name,
+                             const std::string& text) {
+  const std::string path = "BENCH_" + name + ".json";
+  const Status written = json::writeFile(path, text);
+  if (written.isOk()) std::printf("wrote %s\n", path.c_str());
+  return written;
+}
 
-  const std::string path = std::string("BENCH_") + name + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::internal("cannot open " + path + " for writing");
+/// Write every series printed so far to BENCH_<name>.json (label → sim
+/// cycles, host wall time, speedup, modeled-cycles-per-host-second
+/// throughput). Call once at the end of each benchmark binary's main().
+inline Status writeBenchJson(const char* name) {
+  std::string out;
+  json::Writer w(out);
+  w.object(json::Layout::kLines);
+  w.key("bench").string(name);
+  w.key("series").array(json::Layout::kLines);
+  for (const detail::Series& series : detail::seriesLog()) {
+    w.object(json::Layout::kHanging);
+    w.key("title").string(series.title);
+    w.key("baseline").object().key("label").string(series.baselineLabel);
+    w.key("sim_cycles").uint(series.baselineCycles).end();
+    w.key("rows").array(json::Layout::kLines);
+    for (const Row& row : series.rows) {
+      const double host_s = row.hostMs / 1000.0;
+      w.object();
+      w.key("label").string(row.label);
+      w.key("sim_cycles").uint(row.cycles);
+      w.key("speedup").fixed(row.speedup, 6);
+      w.key("host_ms").fixed(row.hostMs, 3);
+      w.key("host_s").fixed(host_s, 6);
+      w.key("cycles_per_host_s")
+          .fixed(host_s > 0.0 ? static_cast<double>(row.cycles) / host_s : 0.0,
+                 1);
+      w.end();
+    }
+    w.end().end();
   }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s (%zu series)\n", path.c_str(), log.size());
-  return Status::ok();
+  w.end().end();
+  return writeBenchFile(name, out);
+}
+
+/// main()'s exit code after a write: 0, or 1 with the error on stderr.
+inline int exitCode(const Status& status) {
+  if (status.isOk()) return 0;
+  std::fprintf(stderr, "FATAL: %s\n", status.toString().c_str());
+  return 1;
 }
 
 /// Host wall-clock stopwatch for Row::hostMs.

@@ -177,6 +177,5 @@ int main(int argc, char** argv) {
               &runTransposeCycles);
   printSeries("Fig. 10c muram_interpol (paper: spmd ~1.0x, generic ~0.85x)",
               &runInterpolCycles);
-  (void)bench::writeBenchJson("fig10_mode_overhead");
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("fig10_mode_overhead"));
 }

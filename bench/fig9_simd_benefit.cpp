@@ -246,6 +246,5 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   printFig9Summary();
   printHostParallelSummary();
-  (void)bench::writeBenchJson("fig9_simd_benefit");
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("fig9_simd_benefit"));
 }

@@ -10,7 +10,6 @@
 // which is how the cost of one fuzz seed is tracked across PRs:
 // a generated program costs runs/seed simulator executions, so a
 // regression here makes every CI fuzz smoke proportionally slower.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -35,12 +34,10 @@ RunOut runOnce() {
   simfuzz::CampaignOptions opt;
   opt.seedBegin = kSeedBegin;
   opt.seedEnd = kSeedEnd;
-  const auto start = std::chrono::steady_clock::now();
+  const bench::WallTimer timer;
   RunOut out;
   out.result = simfuzz::runCampaign(opt);
-  out.hostMs = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - start)
-                   .count();
+  out.hostMs = timer.elapsedMs();
   return out;
 }
 
@@ -85,32 +82,23 @@ int main() {
   std::printf("findings: %zu (log byte-identical across reruns)\n",
               first.result.findings.size());
 
-  std::FILE* f = std::fopen("BENCH_fuzz.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot open BENCH_fuzz.json for writing\n");
-    return 1;
+  std::string out;
+  json::Writer w(out);
+  w.object(json::Layout::kLines);
+  w.key("bench").string("fuzz");
+  w.key("programs").uint(first.result.programs);
+  w.key("sim_runs").uint(first.result.runs);
+  w.key("runs_per_seed")
+      .fixed(static_cast<double>(first.result.runs) /
+                 static_cast<double>(first.result.programs),
+             1);
+  w.key("findings").uint(first.result.findings.size());
+  w.key("log_bytes").uint(first.result.log.size());
+  w.key("runs").array(json::Layout::kLines);
+  for (const RunOut* run : {&first, &second}) {
+    w.object().key("host_ms").fixed(run->hostMs, 3);
+    w.key("runs_per_host_s").fixed(runsPerS(*run), 1).end();
   }
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"bench\": \"fuzz\",\n"
-      "  \"programs\": %llu,\n"
-      "  \"sim_runs\": %llu,\n"
-      "  \"runs_per_seed\": %.1f,\n"
-      "  \"findings\": %zu,\n"
-      "  \"log_bytes\": %zu,\n"
-      "  \"runs\": [\n"
-      "    {\"host_ms\": %.3f, \"runs_per_host_s\": %.1f},\n"
-      "    {\"host_ms\": %.3f, \"runs_per_host_s\": %.1f}\n"
-      "  ]\n"
-      "}\n",
-      static_cast<unsigned long long>(first.result.programs),
-      static_cast<unsigned long long>(first.result.runs),
-      static_cast<double>(first.result.runs) /
-          static_cast<double>(first.result.programs),
-      first.result.findings.size(), first.result.log.size(), first.hostMs,
-      runsPerS(first), second.hostMs, runsPerS(second));
-  std::fclose(f);
-  std::printf("wrote BENCH_fuzz.json\n");
-  return 0;
+  w.end().end();
+  return bench::exitCode(bench::writeBenchFile("fuzz", out));
 }

@@ -141,18 +141,7 @@ void requireIdentical(const gpusim::KernelStats& off,
 
 Status writeStatsDump(const char* path, const gpusim::KernelStats& map,
                       const gpusim::KernelStats& reduce) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    return Status::internal(std::string("cannot open ") + path);
-  }
-  const std::string map_json = map.toJson();
-  const std::string reduce_json = reduce.toJson();
-  std::fwrite(map_json.data(), 1, map_json.size(), f);
-  std::fputc('\n', f);
-  std::fwrite(reduce_json.data(), 1, reduce_json.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  return Status::ok();
+  return json::writeFile(path, map.toJson() + "\n" + reduce.toJson() + "\n");
 }
 
 }  // namespace
@@ -198,9 +187,7 @@ int main() {
     std::fprintf(stderr, "FATAL: cannot write stats dumps\n");
     return 1;
   }
-  (void)bench::writeBenchJson("host_throughput");
-
   std::printf("reduce throughput ratio (on/off): %.2fx\n",
               reduce_off.hostMs / reduce_on.hostMs);
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("host_throughput"));
 }

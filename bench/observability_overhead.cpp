@@ -96,6 +96,5 @@ int main(int argc, char** argv) {
       {{"profiling on", on.stats.cycles, 1.0, on.hostMs},
        {"profiling on + deep trace", traced.stats.cycles, 1.0, traced.hostMs},
        {"profiling off", off.stats.cycles, 1.0, off.hostMs}});
-  (void)bench::writeBenchJson("observability");
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("observability"));
 }

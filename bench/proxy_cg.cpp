@@ -96,6 +96,5 @@ int main(int argc, char** argv) {
        " iterations (spmv/dot/axpy pipeline)")
           .c_str(),
       "simdlen 1 (no third level)", base.totalCycles, rows);
-  (void)bench::writeBenchJson("proxy_cg");
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("proxy_cg"));
 }

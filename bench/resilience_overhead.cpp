@@ -84,6 +84,5 @@ int main(int argc, char** argv) {
         static_cast<double>(off.cycles) / static_cast<double>(on.cycles),
         on.hostMs},
        {"watchdog off", off.cycles, 1.0, off.hostMs}});
-  (void)bench::writeBenchJson("resilience");
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("resilience"));
 }

@@ -109,32 +109,23 @@ int main() {
       static_cast<unsigned long long>(on.traceEvents),
       static_cast<unsigned long long>(on.traceDropped), overhead);
 
-  std::FILE* f = std::fopen("BENCH_serve_observability.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr,
-                 "FATAL: cannot write BENCH_serve_observability.json\n");
+  std::string out;
+  json::Writer w(out);
+  w.object(json::Layout::kLines);
+  w.key("bench").string("serve_observability");
+  w.key("requests").uint(mix.requestCount());
+  w.key("stats_identical").boolean(statsIdentical);
+  w.key("report_identical").boolean(reportIdentical);
+  w.key("trace_events").uint(on.traceEvents);
+  w.key("trace_dropped").uint(on.traceDropped);
+  w.key("host_ms_off").fixed(off.hostMs, 3);
+  w.key("host_ms_on").fixed(on.hostMs, 3);
+  w.key("host_overhead").fixed(overhead, 4);
+  w.end();
+  if (bench::exitCode(bench::writeBenchFile("serve_observability", out)) !=
+      0) {
     return 1;
   }
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"bench\": \"serve_observability\",\n"
-      "  \"requests\": %llu,\n"
-      "  \"stats_identical\": %s,\n"
-      "  \"report_identical\": %s,\n"
-      "  \"trace_events\": %llu,\n"
-      "  \"trace_dropped\": %llu,\n"
-      "  \"host_ms_off\": %.3f,\n"
-      "  \"host_ms_on\": %.3f,\n"
-      "  \"host_overhead\": %.4f\n"
-      "}\n",
-      static_cast<unsigned long long>(mix.requestCount()),
-      statsIdentical ? "true" : "false", reportIdentical ? "true" : "false",
-      static_cast<unsigned long long>(on.traceEvents),
-      static_cast<unsigned long long>(on.traceDropped), off.hostMs, on.hostMs,
-      overhead);
-  std::fclose(f);
-  std::printf("wrote BENCH_serve_observability.json\n");
 
   if (!statsIdentical || !reportIdentical) {
     std::fprintf(stderr,

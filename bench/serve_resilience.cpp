@@ -150,37 +150,25 @@ int main() {
       static_cast<unsigned long long>(storm.breakerTrips), ratio,
       kGoodputGate);
 
-  std::FILE* f = std::fopen("BENCH_serve_resilience.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write BENCH_serve_resilience.json\n");
+  std::string out;
+  json::Writer w(out);
+  w.object(json::Layout::kLines);
+  w.key("bench").string("serve_resilience");
+  w.key("requests").uint(kRequests);
+  w.key("fault_every").uint(kFaultEvery);
+  w.key("deadline_cycles").uint(kDeadline);
+  w.key("clean_goodput").uint(clean.goodput);
+  w.key("storm_goodput").uint(storm.goodput);
+  w.key("storm_completed").uint(storm.completed);
+  w.key("storm_failed").uint(storm.failed);
+  w.key("storm_migrated").uint(storm.migrated);
+  w.key("storm_breaker_trips").uint(storm.breakerTrips);
+  w.key("goodput_ratio").fixed(ratio, 4);
+  w.key("goodput_gate").fixed(kGoodputGate, 2);
+  w.end();
+  if (bench::exitCode(bench::writeBenchFile("serve_resilience", out)) != 0) {
     return 1;
   }
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"bench\": \"serve_resilience\",\n"
-      "  \"requests\": %u,\n"
-      "  \"fault_every\": %u,\n"
-      "  \"deadline_cycles\": %llu,\n"
-      "  \"clean_goodput\": %llu,\n"
-      "  \"storm_goodput\": %llu,\n"
-      "  \"storm_completed\": %llu,\n"
-      "  \"storm_failed\": %llu,\n"
-      "  \"storm_migrated\": %llu,\n"
-      "  \"storm_breaker_trips\": %llu,\n"
-      "  \"goodput_ratio\": %.4f,\n"
-      "  \"goodput_gate\": %.2f\n"
-      "}\n",
-      kRequests, kFaultEvery, static_cast<unsigned long long>(kDeadline),
-      static_cast<unsigned long long>(clean.goodput),
-      static_cast<unsigned long long>(storm.goodput),
-      static_cast<unsigned long long>(storm.completed),
-      static_cast<unsigned long long>(storm.failed),
-      static_cast<unsigned long long>(storm.migrated),
-      static_cast<unsigned long long>(storm.breakerTrips), ratio,
-      kGoodputGate);
-  std::fclose(f);
-  std::printf("wrote BENCH_serve_resilience.json\n");
 
   if (ratio < kGoodputGate) {
     std::fprintf(stderr,

@@ -104,38 +104,29 @@ void requireScale(const RunOut& run, const char* what) {
 }
 
 Status writeServingJson(const RunOut& w1, const RunOut& w8) {
-  std::FILE* f = std::fopen("BENCH_serving.json", "w");
-  if (f == nullptr) {
-    return Status::internal("cannot open BENCH_serving.json for writing");
-  }
-  const auto reqPerS = [](const RunOut& run) {
-    return run.hostMs > 0.0
-               ? static_cast<double>(run.admitted) / (run.hostMs / 1000.0)
-               : 0.0;
+  std::string out;
+  json::Writer w(out);
+  w.object(json::Layout::kLines);
+  w.key("bench").string("serving");
+  w.key("devices").uint(kDevices);
+  w.key("requests").uint(kRequests);
+  w.key("peak_inflight").uint(w1.peakInFlight);
+  w.key("peak_inflight_gate").uint(kInFlightGate);
+  w.key("p99_modeled_latency_cycles").uint(w1.p99);
+  w.key("runs").array(json::Layout::kLines);
+  const auto run = [&w](uint64_t workers, const RunOut& timed) {
+    const double perS = timed.hostMs > 0.0
+                            ? static_cast<double>(timed.admitted) /
+                                  (timed.hostMs / 1000.0)
+                            : 0.0;
+    w.object().key("workers").uint(workers);
+    w.key("host_ms").fixed(timed.hostMs, 3);
+    w.key("requests_per_host_s").fixed(perS, 1).end();
   };
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"bench\": \"serving\",\n"
-      "  \"devices\": %zu,\n"
-      "  \"requests\": %u,\n"
-      "  \"peak_inflight\": %llu,\n"
-      "  \"peak_inflight_gate\": %llu,\n"
-      "  \"p99_modeled_latency_cycles\": %llu,\n"
-      "  \"runs\": [\n"
-      "    {\"workers\": 1, \"host_ms\": %.3f, "
-      "\"requests_per_host_s\": %.1f},\n"
-      "    {\"workers\": 8, \"host_ms\": %.3f, "
-      "\"requests_per_host_s\": %.1f}\n"
-      "  ]\n"
-      "}\n",
-      kDevices, kRequests, static_cast<unsigned long long>(w1.peakInFlight),
-      static_cast<unsigned long long>(kInFlightGate),
-      static_cast<unsigned long long>(w1.p99), w1.hostMs, reqPerS(w1),
-      w8.hostMs, reqPerS(w8));
-  std::fclose(f);
-  std::printf("wrote BENCH_serving.json\n");
-  return Status::ok();
+  run(1, w1);
+  run(8, w8);
+  w.end().end();
+  return bench::writeBenchFile("serving", out);
 }
 
 }  // namespace
@@ -167,10 +158,5 @@ int main() {
               static_cast<unsigned long long>(kInFlightGate),
               static_cast<unsigned long long>(workers1.admitted));
 
-  const Status json = writeServingJson(workers1, workers8);
-  if (!json.isOk()) {
-    std::fprintf(stderr, "FATAL: %s\n", json.toString().c_str());
-    return 1;
-  }
-  return 0;
+  return bench::exitCode(writeServingJson(workers1, workers8));
 }

@@ -97,10 +97,5 @@ int main(int argc, char** argv) {
           speedup(hill.cycles)}});
   }
 
-  const Status written = bench::writeBenchJson("tuning");
-  if (!written.isOk()) {
-    std::fprintf(stderr, "FATAL: %s\n", written.toString().c_str());
-    return 1;
-  }
-  return 0;
+  return bench::exitCode(bench::writeBenchJson("tuning"));
 }

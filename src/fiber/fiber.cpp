@@ -18,6 +18,19 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+// AddressSanitizer needs the same: an unannounced switch makes it
+// mistake fiber frames for thread-stack frames.
+#if defined(__SANITIZE_ADDRESS__)
+#define SIMTOMP_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SIMTOMP_ASAN 1
+#endif
+#endif
+#ifdef SIMTOMP_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace simtomp::fiber {
 
 namespace {
@@ -40,6 +53,19 @@ void tsanDestroyFiber(void*) {}
 void tsanSwitchTo(void*) {}
 void* tsanCurrentFiber() { return nullptr; }
 #endif
+
+#ifdef SIMTOMP_ASAN
+// A null `fake_stack` tells ASan the stack being left is done for good.
+void asanStartSwitch(void** fake_stack, const void* bottom, size_t size) {
+  __sanitizer_start_switch_fiber(fake_stack, bottom, size);
+}
+void asanFinishSwitch(void* fake_stack, const void** bottom, size_t* size) {
+  __sanitizer_finish_switch_fiber(fake_stack, bottom, size);
+}
+#else
+void asanStartSwitch(void**, const void*, size_t) {}
+void asanFinishSwitch(void*, const void**, size_t*) {}
+#endif
 }  // namespace
 
 Fiber::Fiber(size_t index, Entry entry, size_t stack_size,
@@ -60,6 +86,8 @@ Fiber::~Fiber() { tsanDestroyFiber(tsan_fiber_); }
 void Fiber::trampoline() {
   FiberScheduler* sched = g_active_scheduler;
   SIMTOMP_CHECK(sched != nullptr, "fiber trampoline without a scheduler");
+  asanFinishSwitch(nullptr, &sched->asan_stack_bottom_,
+                   &sched->asan_stack_size_);
   Fiber* self = sched->current();
   SIMTOMP_CHECK(self != nullptr, "fiber trampoline without a current fiber");
   try {
@@ -191,7 +219,10 @@ void FiberScheduler::switchToFiber(Fiber& f) {
     tsan_scheduler_fiber_ = tsanCurrentFiber();
   }
   tsanSwitchTo(f.tsan_fiber_);
+  void* fake_stack = nullptr;
+  asanStartSwitch(&fake_stack, f.stack_data_, f.stack_bytes_);
   swapcontext(&scheduler_context_, &f.context_);
+  asanFinishSwitch(fake_stack, nullptr, nullptr);
   current_ = prev_fiber;
   g_active_scheduler = prev_sched;
 }
@@ -202,7 +233,11 @@ void FiberScheduler::switchToScheduler() {
   tsanSwitchTo(g_active_scheduler != nullptr
                    ? g_active_scheduler->tsan_scheduler_fiber_
                    : nullptr);
+  void* fake_stack = nullptr;
+  asanStartSwitch(f->state_ == FiberState::kFinished ? nullptr : &fake_stack,
+                  asan_stack_bottom_, asan_stack_size_);
   swapcontext(&f->context_, &scheduler_context_);
+  asanFinishSwitch(fake_stack, &asan_stack_bottom_, &asan_stack_size_);
 }
 
 namespace {

@@ -152,6 +152,10 @@ class FiberScheduler {
   std::vector<std::unique_ptr<Fiber>> fibers_;
   ucontext_t scheduler_context_{};
   void* tsan_scheduler_fiber_ = nullptr;
+  /// The stack run() executes on, as AddressSanitizer reports it when a
+  /// fiber is entered (asan builds).
+  const void* asan_stack_bottom_ = nullptr;
+  size_t asan_stack_size_ = 0;
   Fiber* current_ = nullptr;
   size_t finished_count_ = 0;
   bool running_ = false;

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "support/json.h"
+
 namespace simtomp::gpusim {
 
 std::string_view counterName(Counter c) {
@@ -105,33 +107,22 @@ std::string KernelStats::csvRow() const {
 }
 
 std::string KernelStats::toJson() const {
-  char buf[128];
-  std::string out = "{\n";
-  const auto field = [&out, &buf](const char* name, uint64_t value,
-                                  bool comma = true) {
-    std::snprintf(buf, sizeof(buf), "  \"%s\": %llu%s\n", name,
-                  static_cast<unsigned long long>(value), comma ? "," : "");
-    out += buf;
-  };
-  field("cycles", cycles);
-  field("busy_cycles", busyCycles);
-  field("max_thread_cycles", maxThreadCycles);
-  field("blocks", numBlocks);
-  field("threads_per_block", threadsPerBlock);
-  field("waves", waves);
-  field("peak_shared_bytes", peakSharedBytes);
-  std::snprintf(buf, sizeof(buf), "  \"warp_occupancy\": %.4f,\n",
-                occupancy.warpOccupancy);
-  out += buf;
-  out += "  \"counters\": {\n";
+  std::string out;
+  json::Writer w(out);
+  w.object(json::Layout::kLines);
+  w.key("cycles").uint(cycles);
+  w.key("busy_cycles").uint(busyCycles);
+  w.key("max_thread_cycles").uint(maxThreadCycles);
+  w.key("blocks").uint(numBlocks);
+  w.key("threads_per_block").uint(threadsPerBlock);
+  w.key("waves").uint(waves);
+  w.key("peak_shared_bytes").uint(peakSharedBytes);
+  w.key("warp_occupancy").fixed(occupancy.warpOccupancy, 4);
+  w.key("counters").object(json::Layout::kLines);
   for (size_t i = 0; i < kNumCounters; ++i) {
-    std::snprintf(buf, sizeof(buf), "    \"%s\": %llu%s\n",
-                  counterName(static_cast<Counter>(i)).data(),
-                  static_cast<unsigned long long>(counters.values[i]),
-                  i + 1 < kNumCounters ? "," : "");
-    out += buf;
+    w.key(counterName(static_cast<Counter>(i))).uint(counters.values[i]);
   }
-  out += "  }\n}\n";
+  w.end().end();
   return out;
 }
 

@@ -1,9 +1,8 @@
 #include "gpusim/trace.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <set>
+
+#include "support/json.h"
 
 namespace simtomp::gpusim {
 
@@ -12,43 +11,16 @@ namespace {
 // Chrome trace process ids: the kernel-level track lives in pid 0, SM
 // tracks in pid 1. Counter tracks attach to pid 0 so they render above
 // the SM rows.
-constexpr const char* kKernelPid = "0";
-constexpr const char* kSmPid = "1";
+constexpr uint64_t kKernelPid = 0;
+constexpr uint64_t kSmPid = 1;
 
-/// JSON string escaping for event names: kernel labels are
-/// user-supplied and would otherwise break the Chrome trace output on
-/// a quote, backslash or control character.
-void writeJsonEscaped(std::ostream& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\b': out << "\\b"; break;
-      case '\f': out << "\\f"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-void writeMetadata(std::ostream& out, const char* pid, uint64_t tid,
-                   const char* kind, const std::string& name, bool& first) {
-  if (!first) out << ",\n";
-  first = false;
-  out << "  {\"name\": \"" << kind << "\", \"ph\": \"M\", \"pid\": " << pid
-      << ", \"tid\": " << tid << ", \"args\": {\"name\": \"";
-  writeJsonEscaped(out, name);
-  out << "\"}}";
+void writeMetadata(json::Writer& w, uint64_t pid, uint64_t tid,
+                   const char* kind, const std::string& name) {
+  w.object();
+  w.key("name").string(kind).key("ph").string("M");
+  w.key("pid").uint(pid).key("tid").uint(tid);
+  w.key("args").object().key("name").string(name).end();
+  w.end();
 }
 
 }  // namespace
@@ -84,11 +56,16 @@ void TraceRecorder::nameTrack(uint32_t track, std::string name) {
 }
 
 void TraceRecorder::writeChromeJson(std::ostream& out) const {
-  out << "[\n";
-  bool first = true;
+  out << chromeJson();
+}
+
+std::string TraceRecorder::chromeJson() const {
+  std::string out;
+  json::Writer w(out);
+  w.array(json::Layout::kLines);
 
   // "M" metadata first: name both processes and every track in use.
-  // std::set gives the stable (sorted) order the satellite asks for.
+  // std::set gives a stable (sorted) track order.
   std::set<uint32_t> sm_tracks;
   bool kernel_track_used = false;
   for (const Event& e : events_) {
@@ -99,56 +76,46 @@ void TraceRecorder::writeChromeJson(std::ostream& out) const {
       sm_tracks.insert(e.track);
     }
   }
-  writeMetadata(out, kKernelPid, 0, "process_name", "kernel", first);
-  writeMetadata(out, kSmPid, 0, "process_name", "SMs", first);
+  writeMetadata(w, kKernelPid, 0, "process_name", "kernel");
+  writeMetadata(w, kSmPid, 0, "process_name", "SMs");
   if (kernel_track_used) {
-    writeMetadata(out, kKernelPid, 0, "thread_name", "kernel", first);
+    writeMetadata(w, kKernelPid, 0, "thread_name", "kernel");
   }
   for (const uint32_t sm : sm_tracks) {
     const auto named = trackNames_.find(sm);
-    writeMetadata(out, kSmPid, sm + 1, "thread_name",
+    writeMetadata(w, kSmPid, sm + 1, "thread_name",
                   named != trackNames_.end() ? named->second
-                                             : "SM " + std::to_string(sm),
-                  first);
+                                             : "SM " + std::to_string(sm));
   }
 
   for (const Event& e : events_) {
-    if (!first) out << ",\n";
-    first = false;
     const uint64_t tid = e.track == kKernelTrack ? 0 : e.track + 1;
-    const char* pid = e.track == kKernelTrack ? kKernelPid : kSmPid;
-    out << "  {\"name\": \"";
-    writeJsonEscaped(out, e.name);
+    const uint64_t pid = e.track == kKernelTrack ? kKernelPid : kSmPid;
+    w.object().key("name").string(e.name);
     switch (e.phase) {
       case Phase::kComplete:
-        out << "\", \"ph\": \"X\", \"pid\": " << pid << ", \"tid\": " << tid
-            << ", \"ts\": " << e.startCycle << ", \"dur\": "
-            << e.durationCycles << "}";
+        w.key("ph").string("X").key("pid").uint(pid).key("tid").uint(tid);
+        w.key("ts").uint(e.startCycle).key("dur").uint(e.durationCycles);
         break;
       case Phase::kInstant:
-        out << "\", \"ph\": \"i\", \"s\": \"p\", \"pid\": " << pid
-            << ", \"tid\": " << tid << ", \"ts\": " << e.startCycle << "}";
+        w.key("ph").string("i").key("s").string("p");
+        w.key("pid").uint(pid).key("tid").uint(tid);
+        w.key("ts").uint(e.startCycle);
         break;
       case Phase::kCounter:
-        out << "\", \"ph\": \"C\", \"pid\": " << pid
-            << ", \"ts\": " << e.startCycle << ", \"args\": {\"value\": "
-            << e.value << "}}";
+        w.key("ph").string("C").key("pid").uint(pid);
+        w.key("ts").uint(e.startCycle);
+        w.key("args").object().key("value").uint(e.value).end();
         break;
     }
+    w.end();
   }
-  out << "\n]\n";
+  w.end();
+  return out;
 }
 
 Status TraceRecorder::writeChromeJson(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) {
-    return Status::invalidArgument("cannot open trace file: " + path);
-  }
-  writeChromeJson(file);
-  if (!file.good()) {
-    return Status::internal("I/O error writing trace file: " + path);
-  }
-  return Status::ok();
+  return json::writeFile(path, chromeJson());
 }
 
 }  // namespace simtomp::gpusim

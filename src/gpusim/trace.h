@@ -72,6 +72,8 @@ class TraceRecorder {
   Status writeChromeJson(const std::string& path) const;
 
  private:
+  [[nodiscard]] std::string chromeJson() const;
+
   std::vector<Event> events_;
   std::map<uint32_t, std::string> trackNames_;
 };

@@ -1,12 +1,12 @@
 #include "simprof/metrics.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
-#include <vector>
 
+#include "support/json.h"
 #include "support/log.h"
 
 namespace simtomp::simprof {
@@ -120,20 +120,18 @@ MetricsRegistry::MetricsRegistry() {
     static std::string g_dump_path;
     g_dump_path = path;
     std::atexit([] {
-      std::ofstream out(g_dump_path);
-      if (!out) {
-        SIMTOMP_WARN("simprof: cannot write SIMTOMP_METRICS file %s",
-                     g_dump_path.c_str());
-        return;
+      std::ostringstream prom;
+      std::ostringstream snapshot;
+      MetricsRegistry::global().writePrometheus(prom);
+      MetricsRegistry::global().writeJson(snapshot);
+      for (const Status& written :
+           {json::writeFile(g_dump_path, prom.str()),
+            json::writeFile(g_dump_path + ".json", snapshot.str())}) {
+        if (!written.isOk()) {
+          SIMTOMP_WARN("simprof: SIMTOMP_METRICS: %s",
+                       written.message().c_str());
+        }
       }
-      MetricsRegistry::global().writePrometheus(out);
-      std::ofstream json(g_dump_path + ".json");
-      if (!json) {
-        SIMTOMP_WARN("simprof: cannot write SIMTOMP_METRICS file %s.json",
-                     g_dump_path.c_str());
-        return;
-      }
-      MetricsRegistry::global().writeJson(json);
     });
   }
 }
@@ -222,39 +220,29 @@ void MetricsRegistry::writePrometheus(std::ostream& out) const {
 }
 
 void MetricsRegistry::writeJson(std::ostream& out) const {
-  // Sorted-key snapshot: collect "name": value fragments and sort.
-  std::vector<std::string> entries;
-  entries.reserve(std::size(kCatalog));
-  for (size_t i = 0; i < std::size(kCatalog); ++i) {
-    const MetricDef& def = kCatalog[i];
+  std::map<std::string_view, size_t> sorted;
+  for (size_t i = 0; i < std::size(kCatalog); ++i) sorted[kCatalog[i].name] = i;
+  std::string text;
+  json::Writer w(text);
+  w.object(json::Layout::kLines);
+  for (const auto& [name, i] : sorted) {
     const Cell& cell = cells_[i];
-    std::string entry = "\"";
-    entry += def.name;
-    entry += "\": ";
-    if (def.type == MetricType::kHistogram) {
-      entry += "{\"count\": ";
-      entry += std::to_string(cell.value.load(std::memory_order_relaxed));
-      entry += ", \"sum\": ";
-      entry += std::to_string(cell.sum.load(std::memory_order_relaxed));
-      entry += ", \"buckets\": [";
-      for (size_t b = 0; b < kHistogramBuckets; ++b) {
-        if (b > 0) entry += ", ";
-        entry += std::to_string(cell.buckets[b].load(std::memory_order_relaxed));
+    w.key(name);
+    if (kCatalog[i].type == MetricType::kHistogram) {
+      w.object();
+      w.key("count").uint(cell.value.load(std::memory_order_relaxed));
+      w.key("sum").uint(cell.sum.load(std::memory_order_relaxed));
+      w.key("buckets").array();
+      for (const auto& bucket : cell.buckets) {
+        w.uint(bucket.load(std::memory_order_relaxed));
       }
-      entry += "]}";
+      w.end().end();
     } else {
-      entry += std::to_string(cell.value.load(std::memory_order_relaxed));
+      w.uint(cell.value.load(std::memory_order_relaxed));
     }
-    entries.push_back(std::move(entry));
   }
-  std::sort(entries.begin(), entries.end());
-  out << "{\n";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    out << "  " << entries[i];
-    if (i + 1 < entries.size()) out << ",";
-    out << "\n";
-  }
-  out << "}\n";
+  w.end();
+  out << text;
 }
 
 void MetricsRegistry::reset() {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "support/json.h"
 #include "support/log.h"
 #include "support/status.h"
 
@@ -226,37 +227,30 @@ void appendFolded(std::vector<std::string>& lines, const ProfileNode& node,
   }
 }
 
-void writeJsonNode(std::ostream& out, const ProfileNode& node,
-                   const RenderOptions& opts, int indent) {
-  const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  out << pad << "{\"construct\": \"" << node.label() << "\",\n";
-  out << pad << " \"inclusive_cycles\": " << node.inclusiveCycles << ",\n";
-  out << pad << " \"exclusive_cycles\": " << node.exclusiveCycles << ",\n";
-  out << pad << " \"busy_cycles\": " << node.busyCycles << ",\n";
-  out << pad << " \"visits\": " << node.visits << ",\n";
-  out << pad << " \"counters\": {";
-  bool first = true;
+void writeJsonNode(json::Writer& w, const ProfileNode& node,
+                   const RenderOptions& opts) {
+  w.object(json::Layout::kHanging);
+  w.key("construct").string(node.label());
+  w.key("inclusive_cycles").uint(node.inclusiveCycles);
+  w.key("exclusive_cycles").uint(node.exclusiveCycles);
+  w.key("busy_cycles").uint(node.busyCycles);
+  w.key("visits").uint(node.visits);
+  w.key("counters").object();
   for (size_t i = 0; i < node.counters.size(); ++i) {
     if (node.counters[i] == 0) continue;
-    if (!first) out << ", ";
-    first = false;
-    out << "\"";
     if (opts.counterName != nullptr) {
-      out << opts.counterName(static_cast<uint32_t>(i));
+      w.key(opts.counterName(static_cast<uint32_t>(i)));
     } else {
-      out << "counter_" << i;
+      w.key("counter_" + std::to_string(i));
     }
-    out << "\": " << node.counters[i];
+    w.uint(node.counters[i]);
   }
-  out << "},\n";
-  out << pad << " \"children\": [";
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "\n";
-    writeJsonNode(out, node.children[i], opts, indent + 1);
+  w.end();
+  w.key("children").array(json::Layout::kLines);
+  for (const ProfileNode& child : node.children) {
+    writeJsonNode(w, child, opts);
   }
-  if (!node.children.empty()) out << "\n" << pad;
-  out << "]}";
+  w.end().end();
 }
 
 }  // namespace
@@ -288,10 +282,15 @@ std::string LaunchProfile::folded() const {
 
 void LaunchProfile::writeJson(std::ostream& out,
                               const RenderOptions& opts) const {
-  out << "{\"enabled\": " << (enabled ? "true" : "false")
-      << ",\n \"root_cycles\": " << rootCycles << ",\n \"tree\":\n";
-  writeJsonNode(out, root, opts, 1);
-  out << "\n}\n";
+  std::string text;
+  json::Writer w(text);
+  w.object(json::Layout::kHanging);
+  w.key("enabled").boolean(enabled);
+  w.key("root_cycles").uint(rootCycles);
+  w.key("tree");
+  writeJsonNode(w, root, opts);
+  w.end();
+  out << text;
 }
 
 }  // namespace simtomp::simprof

@@ -1,10 +1,13 @@
 #include "simtune/cache.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "support/json.h"
 
 namespace simtomp::simtune {
 namespace {
@@ -33,27 +36,6 @@ bool parseModeToken(std::string_view token, omprt::ExecMode& mode) {
     return true;
   }
   return false;
-}
-
-/// JSON string escaping for the composite keys (kernel names may carry
-/// user text; fingerprints are plain ASCII already).
-void appendEscaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 /// Minimal scanner for the cache's own JSON dialect. Not a general JSON
@@ -100,15 +82,25 @@ class Scanner {
         if (pos_ >= text_.size()) return false;
         const char esc = text_[pos_++];
         switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
+          case '"':
+          case '\\':
+          case '/': out += esc; break;
+          case 'b': out += '\b'; break;
+          case 'f': out += '\f'; break;
           case 'n': out += '\n'; break;
+          case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
           case 'u': {
+            // The writer escapes single bytes only, as \u00XX.
+            unsigned code = 0;
             if (pos_ + 4 > text_.size()) return false;
-            const std::string hex(text_.substr(pos_, 4));
+            const char* hex = text_.data() + pos_;
+            const auto [end, ec] = std::from_chars(hex, hex + 4, code, 16);
+            if (ec != std::errc() || end != hex + 4 || code > 0xFF) {
+              return false;
+            }
             pos_ += 4;
-            out += static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16));
+            out += static_cast<char>(code);
             break;
           }
           default: return false;
@@ -122,15 +114,11 @@ class Scanner {
 
   bool readUint(uint64_t& out) {
     skipWs();
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out = std::strtoull(std::string(text_.substr(start, pos_ - start)).c_str(),
-                        nullptr, 10);
-    return true;
+    const char* begin = text_.data() + pos_;
+    const auto [end, ec] =
+        std::from_chars(begin, text_.data() + text_.size(), out);
+    pos_ += static_cast<size_t>(end - begin);
+    return ec == std::errc();
   }
 
  private:
@@ -339,40 +327,25 @@ Status TuneCache::saveTo(const std::string& path) const {
   // std::map iteration is already key-sorted, which is the whole
   // determinism story: same entries in, byte-identical file out.
   std::string out;
-  out += "{\n  \"simtune_cache\": 1,\n  \"entries\": [";
-  bool first = true;
+  json::Writer w(out);
+  w.object(json::Layout::kLines);
+  w.key("simtune_cache").uint(1);
+  w.key("entries").array(json::Layout::kLines);
   for (const auto& [key, shape] : snapshot) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"key\": \"";
-    appendEscaped(out, key);
-    out += "\", \"teamsMode\": \"";
-    out += modeToken(shape.teamsMode);
-    out += "\", \"parallelMode\": \"";
-    out += modeToken(shape.parallelMode);
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "\", \"numTeams\": %u, \"threadsPerTeam\": %u, "
-                  "\"simdlen\": %u, \"scheduleChunk\": %llu, "
-                  "\"cycles\": %llu, \"trials\": %u}",
-                  shape.numTeams, shape.threadsPerTeam, shape.simdlen,
-                  static_cast<unsigned long long>(shape.scheduleChunk),
-                  static_cast<unsigned long long>(shape.cycles),
-                  shape.trials);
-    out += buf;
+    w.object();
+    w.key("key").string(key);
+    w.key("teamsMode").string(modeToken(shape.teamsMode));
+    w.key("parallelMode").string(modeToken(shape.parallelMode));
+    w.key("numTeams").uint(shape.numTeams);
+    w.key("threadsPerTeam").uint(shape.threadsPerTeam);
+    w.key("simdlen").uint(shape.simdlen);
+    w.key("scheduleChunk").uint(shape.scheduleChunk);
+    w.key("cycles").uint(shape.cycles);
+    w.key("trials").uint(shape.trials);
+    w.end();
   }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
-
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    return Status::internal("cannot open tuning cache for writing: " + path);
-  }
-  file << out;
-  file.flush();
-  if (!file) {
-    return Status::internal("failed writing tuning cache: " + path);
-  }
-  return Status::ok();
+  w.end().end();
+  return json::writeFile(path, out);
 }
 
 std::string resolveCachePath(const std::string& requested) {

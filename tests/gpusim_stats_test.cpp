@@ -4,6 +4,7 @@
 // round-trip every counter by name.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -67,6 +68,58 @@ TEST(KernelStatsJsonTest, RoundTripsEveryCounterByName) {
   }
   EXPECT_NE(json.find("\"cycles\": 12345"), std::string::npos);
   EXPECT_NE(json.find("\"busy_cycles\": 999"), std::string::npos);
+}
+
+// perfbench hashes toJson() into its stats digest, so the exact bytes
+// (key order, spacing, number formats, trailing newline) are a contract.
+TEST(KernelStatsJsonTest, GoldenBytes) {
+  KernelStats stats;
+  stats.cycles = 12345;
+  stats.busyCycles = 999;
+  stats.maxThreadCycles = 77;
+  stats.numBlocks = 8;
+  stats.threadsPerBlock = 128;
+  stats.waves = 2;
+  stats.peakSharedBytes = 4096;
+  stats.occupancy.warpOccupancy = 0.56256;
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    stats.counters.values[i] = 100 + i;
+  }
+  stats.counters.values[0] = UINT64_MAX;
+  EXPECT_EQ(stats.toJson(), R"({
+  "cycles": 12345,
+  "busy_cycles": 999,
+  "max_thread_cycles": 77,
+  "blocks": 8,
+  "threads_per_block": 128,
+  "waves": 2,
+  "peak_shared_bytes": 4096,
+  "warp_occupancy": 0.5626,
+  "counters": {
+    "alu_work": 18446744073709551615,
+    "global_load": 101,
+    "global_store": 102,
+    "shared_load": 103,
+    "shared_store": 104,
+    "local_access": 105,
+    "atomic_rmw": 106,
+    "warp_sync": 107,
+    "block_sync": 108,
+    "state_poll": 109,
+    "payload_arg_copy": 110,
+    "dispatch_cascade": 111,
+    "dispatch_indirect": 112,
+    "shuffle": 113,
+    "global_alloc": 114,
+    "sharing_space_overflow": 115,
+    "parallel_region": 116,
+    "simd_loop": 117,
+    "workshare_loop": 118,
+    "simd_lane_rounds": 119,
+    "simd_idle_lane_rounds": 120
+  }
+}
+)");
 }
 
 TEST(KernelStatsJsonTest, DeterministicOutput) {

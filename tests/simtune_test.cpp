@@ -160,6 +160,57 @@ TEST(TuneCacheTest, MissingFileIsEmptyMalformedIsError) {
   std::remove(path.c_str());
 }
 
+TEST(TuneCacheTest, KeyWithEveryControlByteRoundTrips) {
+  std::string kernel;
+  for (char c = 0x01; c < 0x20; ++c) kernel += c;
+  kernel += "\"\\";
+  const TuneKey key =
+      makeTuneKey(kernel, ArchSpec::testTiny(), CostModel{}, 9);
+  const std::string path = tempPath("simtune_control_bytes.json");
+  {
+    TuneCache cache(path);
+    cache.insert(key, sampleShape());
+    ASSERT_TRUE(cache.save().isOk());
+  }
+  const std::string text = slurp(path);
+  EXPECT_NE(text.find(R"("key": "\u0001\u0002)"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find(R"(\u0007\b\t\n\u000b\f\r\u000e)"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find(R"(\u001f\"\\|)"), std::string::npos) << text;
+  TuneCache reloaded(path);
+  ASSERT_TRUE(reloaded.load().isOk());
+  ASSERT_EQ(reloaded.size(), 1u);
+  EXPECT_EQ(reloaded.entries()[0].first, key.composite());
+  EXPECT_EQ(reloaded.lookup(key), sampleShape());
+  std::remove(path.c_str());
+}
+
+// The reader takes every escape the writer emits plus \/, and refuses a
+// \u escape that is not four hex digits naming one byte.
+TEST(TuneCacheTest, UnicodeEscapesAreValidated) {
+  const std::string path = tempPath("simtune_escapes.json");
+  const auto loadKey = [&path](const std::string& escaped) {
+    {
+      std::ofstream out(path);
+      out << "{\"simtune_cache\": 1, \"entries\": [{\"key\": \"" << escaped
+          << "\", \"cycles\": 1}]}";
+    }
+    TuneCache cache(path);
+    const Status status = cache.load();
+    std::remove(path.c_str());
+    if (!status.isOk()) return status.message();
+    return "ok:" + cache.entries()[0].first;
+  };
+  EXPECT_EQ(loadKey(R"(a\/b\u0041\u00ff)"), "ok:a/bA\xff");
+  for (const char* bad : {R"(\uzz12)", R"(\u12)", R"(\u0100)", R"(\u+041)",
+                          R"(\x41)"}) {
+    const std::string message = loadKey(bad);
+    EXPECT_NE(message.find("malformed tuning cache"), std::string::npos)
+        << bad << " -> " << message;
+  }
+}
+
 TEST(TuneCacheTest, EvictByKernelPrefix) {
   const ArchSpec arch = ArchSpec::testTiny();
   TuneCache cache;

@@ -29,9 +29,10 @@
 #          perturbs modeled cycles.
 # Stage 7: observability guard; a profiled kernel runs at 1 and 8 host
 #          workers and the construct table, folded stacks and metrics
-#          dumps must be byte-identical; the deep trace must be valid
-#          JSON; the observability_overhead bench asserts profiling
-#          never perturbs KernelStats.
+#          dumps must be byte-identical (the deep trace's JSON validity
+#          is the ctest cell json.simtomp_prof_trace, run in stage 1);
+#          the observability_overhead bench asserts profiling never
+#          perturbs KernelStats.
 # Stage 8: convergence fast-path guard; bench/host_throughput runs the
 #          convergent map+reduce kernels with the fast path off and on,
 #          the dumped KernelStats must be byte-identical, and the
@@ -64,7 +65,8 @@
 #          simtomp_serve trace surfaces (timelines, SLO burn,
 #          histograms, flight recorder) and on-demand flight dumps
 #          must be byte-identical across reruns, 8 host workers and a
-#          prime shard count; the Perfetto export must be valid JSON;
+#          prime shard count (the Perfetto export's JSON validity is the
+#          ctest cell json.simtomp_serve_perfetto, run in stage 1);
 #          the chaos report must be byte-identical with --trace on;
 #          a planted invariant violation must auto-dump the flight
 #          recorder; the serve_observability_overhead bench then
@@ -171,7 +173,6 @@ folded_a="${prefix}/prof-guard-a.folded"
 folded_b="${prefix}/prof-guard-b.folded"
 metrics_a="${prefix}/prof-guard-a.prom"
 metrics_b="${prefix}/prof-guard-b.prom"
-trace_json="${prefix}/prof-guard.trace.json"
 SIMTOMP_HOST_WORKERS=1 "${prof_cmd[@]}" --metrics "${metrics_a}" \
   > "${prof_a}"
 SIMTOMP_HOST_WORKERS=8 "${prof_cmd[@]}" --metrics "${metrics_b}" \
@@ -191,9 +192,6 @@ if ! cmp "${metrics_a}" "${metrics_b}"; then
   exit 1
 fi
 echo "profile/folded/metrics byte-identical across worker counts"
-SIMTOMP_HOST_WORKERS=8 "${prof_cmd[@]}" --trace "${trace_json}" >/dev/null
-python3 -m json.tool "${trace_json}" >/dev/null
-echo "deep trace is valid JSON"
 # The overhead bench aborts if profiling perturbs KernelStats.
 (cd "${prefix}/bench" && ./observability_overhead >/dev/null)
 echo "profiling zero-perturbation guard passed"
@@ -407,7 +405,6 @@ flight_a="${prefix}/trace-guard-a.flight"
 flight_b="${prefix}/trace-guard-b.flight"
 flight_c="${prefix}/trace-guard-c.flight"
 flight_d="${prefix}/trace-guard-d.flight"
-perfetto_json="${prefix}/trace-guard.perfetto.json"
 # The trace surfaces record only shard-invariant facts on the modeled
 # clock (device/shard ids live on the physical ring, which the
 # canonical dump withholds), so every dump must be byte-identical
@@ -441,9 +438,6 @@ if ! cmp "${flight_a}" "${flight_b}" || ! cmp "${flight_a}" "${flight_c}" \
   exit 1
 fi
 echo "trace + flight dumps byte-identical across reruns/workers/shards"
-"${serve}" trace "${trace_mix}" --perfetto "${perfetto_json}" >/dev/null
-python3 -m json.tool "${perfetto_json}" >/dev/null
-echo "perfetto export is valid JSON"
 # Tracing must not perturb the chaos campaign either: the report with
 # --trace must match stage 11's untraced report for the same seeds.
 chaos_traced="${prefix}/chaos-guard-traced.txt"
